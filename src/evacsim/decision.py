@@ -1,22 +1,30 @@
 """Probabilistic decision levels: per-round exit choice and destination choice.
 
-Destination probabilities combine five influences (distance to exit, trace
-field, inertia, wall clearance, neighbor crowding) as a product of
-exponential factors. All factors are evaluated in log space and normalized
-with max-subtraction before exponentiation, so large couplings or trace
-values cannot overflow; the normalization constant cancels exactly.
+Every pick reads only the start-of-round state, so both levels are batched
+kernels over all agents. Exit choice reads one (N, E) weight matrix from the
+(E, H, W) stack of exit distances. Destination choice combines five
+influences (distance to exit, trace field, inertia, wall clearance, neighbor
+crowding) in one (rows, K) log-weight matrix per v_max class over the disc
+offsets, in blocks of at most BLOCK_ROWS rows so temporaries stay small.
+Log weights are normalized with max-subtraction before exponentiation, so
+large couplings or trace values cannot overflow.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .dynamic_field import DynamicField
-from .scenario import WALL, Grid, neighborhood
-from .static_field import StaticField, WallDistanceField
+from .scenario import WALL, Grid, disc_offsets
+from .static_field import WallDistanceField
+
+# rows of one destination block; keeps each temporary (at most 49 candidates
+# x 16 bytes per row up to v_max 4) under malloc's 128 KiB mmap threshold, so
+# blocks reuse heap memory instead of mapping and faulting in fresh pages
+BLOCK_ROWS = 128
 
 
 class SimulationError(RuntimeError):
@@ -44,10 +52,13 @@ class Agent:
 
 @dataclass(frozen=True)
 class WorldView:
-    """Frozen start-of-round snapshot read by the decision phase."""
+    """Frozen start-of-round snapshot read by the decision phase.
+
+    `exit_dist` is the (E, H, W) stack of per-exit distance fields.
+    """
 
     grid: Grid
-    static_fields: dict[int, StaticField]
+    exit_dist: np.ndarray
     wall_field: WallDistanceField
     dyn_field: DynamicField
     counts: np.ndarray
@@ -57,51 +68,69 @@ class WorldView:
 
 @dataclass
 class DestinationDistribution:
-    """Candidate cells (m, 2) with their normalized probabilities (m,)."""
+    """Destination law of one block of agents that share a v_max.
 
+    `rows` (n,) index the agent list; `cells` (n, K, 2) are the (x, y) cells
+    of the v_max disc around each agent; `candidate` (n, K) marks the in-grid,
+    non-wall cells not held by another agent (the own cell always is one);
+    `logw` (n, K) is -inf off the candidates and where the chosen exit cannot
+    be reached; `probs` (n, K) is its row softmax.
+    """
+
+    rows: np.ndarray
     cells: np.ndarray
+    candidate: np.ndarray
+    logw: np.ndarray
     probs: np.ndarray
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a normalized probability vector by inverse CDF."""
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, len(probs) - 1)
-
-
 def softmax_from_log(logw: np.ndarray) -> np.ndarray:
-    """exp-normalize log weights; invariant under adding any constant."""
-    top = np.max(logw)
-    w = np.exp(logw - top)
-    return w / w.sum()
+    """exp-normalize log weights along the last axis; invariant under adding any constant."""
+    w = np.exp(logw - np.max(logw, axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def exit_weights(agent: Agent, static_fields: dict[int, StaticField]) -> tuple[list[int], np.ndarray]:
-    """Unnormalized exit-choice weights (1 + persistence bonus) / distance^2.
+def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one column per row of normalized probabilities (n, K).
 
-    The distance is clamped below at one cell; unreachable exits weigh zero.
+    Row i uses the uniform u[i]. A draw never lands on a zero-probability
+    column, even when rounding leaves the row's CDF just below u.
     """
-    ids = sorted(agent.allowed_exits)
-    x, y = agent.pos
-    weights = np.zeros(len(ids))
-    for i, eid in enumerate(ids):
-        s = static_fields[eid].dist[y, x]
-        if not math.isfinite(s):
-            continue
-        bonus = agent.k_e if eid == agent.chosen_exit else 0.0
-        weights[i] = (1.0 + bonus) / max(s, 1.0) ** 2
-    return ids, weights
+    cdf = np.cumsum(probs, axis=1)
+    idx = np.count_nonzero(cdf <= u[:, None], axis=1)
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)
+    return np.minimum(idx, last)
 
 
-def choose_exit(agent: Agent, static_fields: dict[int, StaticField], rng: np.random.Generator) -> int:
-    """Sample this round's exit and store it on the agent."""
-    ids, weights = exit_weights(agent, static_fields)
-    total = weights.sum()
-    if total <= 0.0:
-        raise SimulationError(f"agent {agent.id} cannot reach any allowed exit from {agent.pos}")
-    chosen = ids[sample_index(weights / total, rng)]
-    agent.chosen_exit = chosen
+def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
+    """(N, E) unnormalized exit-choice weights (1 + persistence bonus) / distance^2.
+
+    The distance is clamped below at one cell; exits an agent may not use or
+    cannot reach weigh zero.
+    """
+    n_exits = exit_dist.shape[0]
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    s = exit_dist[:, pos[:, 1], pos[:, 0]].T
+    exits = range(n_exits)
+    allowed = np.array([[e in a.allowed_exits for e in exits] for a in agents], dtype=bool)
+    chosen = np.array([-1 if a.chosen_exit is None else a.chosen_exit for a in agents])
+    k_e = np.array([a.k_e for a in agents], dtype=np.float64)
+    bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
+    usable = allowed.reshape(-1, n_exits) & np.isfinite(s)
+    return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
+
+
+def choose_exit(agents: list[Agent], exit_dist: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample this round's exit for every agent, agent i with uniform u[i]; stores it on the agents."""
+    weights = exit_weights(agents, exit_dist)
+    total = weights.sum(axis=1)
+    stuck = np.nonzero(total <= 0.0)[0]
+    if stuck.size:
+        a = agents[int(stuck[0])]
+        raise SimulationError(f"agent {a.id} cannot reach any allowed exit from {a.pos}")
+    chosen = sample_rows(weights / total[:, None], u)
+    for a, e in zip(agents, chosen.tolist()):
+        a.chosen_exit = e
     return chosen
 
 
@@ -115,103 +144,78 @@ def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
     )
 
 
-def candidate_cells(agent: Agent, grid: Grid, occupancy: np.ndarray) -> np.ndarray:
-    """Reachable-this-round cells minus those occupied by other agents.
+def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[DestinationDistribution]:
+    """Destination laws of all agents, one block per v_max class and BLOCK_ROWS rows.
 
-    The agent's own cell is always a candidate (standing still is legal).
-    Returns an (m, 2) array of (x, y) positions.
+    Every agent needs a chosen exit. The log weight of candidate c for an
+    agent at p is -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
+    - k_W max(0, w_max - W(c)) - k_P crowd(c), u being the last displacement
+    and phi the turn angle from u to v = c - p (no inertia term while either
+    is zero).
     """
-    cells = neighborhood(agent.pos, agent.v_max, grid)
-    occupied = occupancy[cells[:, 1], cells[:, 0]]
-    own = (cells[:, 0] == agent.pos[0]) & (cells[:, 1] == agent.pos[1])
-    return cells[~occupied | own]
-
-
-def logw_static(agent: Agent, cell: tuple[int, int], sf: StaticField) -> float:
-    """-k_S * S at the candidate cell."""
-    return -agent.k_s * sf.dist[cell[1], cell[0]]
-
-
-def logw_dynamic(agent: Agent, cell: tuple[int, int], df: DynamicField) -> float:
-    """k_D * (trace at the candidate) . (candidate offset from the agent's cell)."""
-    dx, dy = df.field_at(cell)
-    return agent.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
-
-def logw_inertia(agent: Agent, cell: tuple[int, int]) -> float:
-    """-k_I * (v_next + v_prev) * sin(|phi|/2), phi the turn angle; 0 when standing."""
-    ux, uy = agent.last_disp
-    vx, vy = cell[0] - agent.pos[0], cell[1] - agent.pos[1]
-    v_prev = math.hypot(ux, uy)
-    v_next = math.hypot(vx, vy)
-    if v_prev == 0.0 or v_next == 0.0:
-        return 0.0
-    cos_phi = max(-1.0, min(1.0, (ux * vx + uy * vy) / (v_prev * v_next)))
-    sin_half = math.sqrt((1.0 - cos_phi) / 2.0)
-    return -agent.k_i * (v_next + v_prev) * sin_half
-
-
-def logw_wall(cell: tuple[int, int], wf: WallDistanceField, k_w: float, w_max: float) -> float:
-    """-k_W * (w_max - W) inside the wall zone; 0 once W >= w_max."""
-    w = wf.wdist[cell[1], cell[0]]
-    if w >= w_max:
-        return 0.0
-    return -k_w * (w_max - w)
-
-
-def logw_polite(cell: tuple[int, int], counts: np.ndarray, k_p: float) -> float:
-    """-k_P * number of agents adjacent to the candidate cell."""
-    return -k_p * counts[cell[1], cell[0]]
-
-
-def destination_distribution(agent: Agent, world: WorldView) -> DestinationDistribution:
-    """Probabilities over the agent's candidate cells from the five influences.
-
-    Vectorized over candidates; equals the sum of the per-cell logw_* terms.
-    Candidates whose static distance is unreachable get probability zero.
-    """
-    cells = candidate_cells(agent, world.grid, world.occupancy)
-    xs, ys = cells[:, 0], cells[:, 1]
-    ax, ay = agent.pos
-    offx = xs - ax
-    offy = ys - ay
-
-    s = world.static_fields[agent.chosen_exit].dist[ys, xs]
-    reachable = np.isfinite(s)
-    logw = np.where(reachable, -agent.k_s * np.where(reachable, s, 0.0), -np.inf)
-
-    logw += agent.k_d * (
-        world.dyn_field.dx[ys, xs] * offx + world.dyn_field.dy[ys, xs] * offy
-    )
-
-    v_prev = math.hypot(*agent.last_disp)
-    if agent.k_i != 0.0 and v_prev > 0.0:
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    v_max = np.array([a.v_max for a in agents], dtype=np.int64)
+    chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
+    last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
+    k = np.array([(a.k_s, a.k_d, a.k_i, a.k_w, a.k_p) for a in agents], dtype=np.float64).reshape(-1, 5)
+    width, height = world.grid.width, world.grid.height
+    # fields are read through flat cell indices y * width + x
+    flat_dist = world.exit_dist.reshape(len(world.exit_dist), -1)
+    for v in sorted(set(v_max.tolist())):
+        offsets = disc_offsets(v)
+        offx, offy = offsets[:, 0], offsets[:, 1]
+        own = (offx == 0) & (offy == 0)
         v_next = np.hypot(offx, offy)
-        moving = v_next > 0.0
-        dot = agent.last_disp[0] * offx + agent.last_disp[1] * offy
-        cos_phi = np.clip(
-            np.divide(dot, v_next * v_prev, out=np.zeros_like(v_next), where=moving),
-            -1.0,
-            1.0,
-        )
-        sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
-        logw -= np.where(moving, agent.k_i * (v_next + v_prev) * sin_half, 0.0)
+        of_class = np.nonzero(v_max == v)[0]
+        for start in range(0, len(of_class), BLOCK_ROWS):
+            rows = of_class[start : start + BLOCK_ROWS]
+            cx = pos[rows, 0, None] + offx
+            cy = pos[rows, 1, None] + offy
+            inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
+            at = np.where(inside, cy * width + cx, 0)
+            candidate = inside & (np.take(world.grid.kind, at) != WALL) & (own | ~np.take(world.occupancy, at))
+            k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k[rows].T)
 
-    w = world.wall_field.wdist[ys, xs]
-    logw -= agent.k_w * np.where(w >= world.w_max, 0.0, world.w_max - w)
+            s = flat_dist[chosen[rows, None], at]
+            reachable = candidate & np.isfinite(s)
+            logw = np.where(reachable, -k_s * np.where(reachable, s, 0.0), -np.inf)
 
-    logw -= agent.k_p * world.counts[ys, xs]
+            logw += k_d * (np.take(world.dyn_field.dx, at) * offx + np.take(world.dyn_field.dy, at) * offy)
 
-    if not np.isfinite(logw).any():
-        # own cell is always reachable for the chosen exit; defensive fallback
-        probs = np.zeros(len(cells))
-        own = np.nonzero((xs == ax) & (ys == ay))[0]
-        probs[own[0]] = 1.0
-        return DestinationDistribution(cells=cells, probs=probs)
-    return DestinationDistribution(cells=cells, probs=softmax_from_log(logw))
+            ux, uy = last[rows, 0, None], last[rows, 1, None]
+            v_prev = np.hypot(ux, uy)
+            turning = (v_next > 0.0) & (v_prev > 0.0)
+            cos_phi = np.clip(
+                np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning),
+                -1.0,
+                1.0,
+            )
+            sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
+            logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
+
+            w = np.take(world.wall_field.wdist, at)
+            logw -= k_w * np.where(w >= world.w_max, 0.0, world.w_max - w)
+
+            logw -= k_p * np.take(world.counts, at)
+
+            stuck = rows[np.isneginf(logw.max(axis=1))]
+            if stuck.size:
+                # even the own cell is cut off from the chosen exit
+                a = agents[int(stuck[0])]
+                raise SimulationError(f"agent {a.id} at {a.pos} cannot reach exit {a.chosen_exit}")
+            yield DestinationDistribution(
+                rows=rows,
+                cells=np.stack((cx, cy), axis=-1),
+                candidate=candidate,
+                logw=logw,
+                probs=softmax_from_log(logw),
+            )
 
 
-def choose_destination(agent: Agent, world: WorldView, rng: np.random.Generator) -> tuple[int, int]:
-    """Sample the destination cell for this round."""
-    dist = destination_distribution(agent, world)
-    idx = sample_index(dist.probs, rng)
-    return int(dist.cells[idx, 0]), int(dist.cells[idx, 1])
+def choose_destination(agents: list[Agent], world: WorldView, u: np.ndarray) -> list[tuple[int, int]]:
+    """Sample every agent's destination cell for this round, agent i with uniform u[i]."""
+    dest = np.empty((len(agents), 2), dtype=np.int64)
+    for block in destination_distribution(agents, world):
+        idx = sample_rows(block.probs, u[block.rows])
+        dest[block.rows] = block.cells[np.arange(len(block.rows)), idx]
+    return [(x, y) for x, y in dest.tolist()]

@@ -1,9 +1,11 @@
 """Round loop: decisions, movement, trace update, exit removal, bookkeeping.
 
 Randomness discipline: every random draw comes from a stream derived from
-(master seed, round, entity, purpose), so the agent-parallel decision phase
-is order-independent and a run is exactly reproducible from its seed. One
-round models one second; one cell edge is 0.4 m.
+(master seed, round, entity, purpose), so a run is exactly reproducible from
+its seed. Exit and destination choice each draw one uniform per agent id
+from a single per-round stream, so an agent's draws do not depend on which
+other agents are still in the room. One round models one second; one cell
+edge is 0.4 m.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ PURPOSE_EXIT = 0
 PURPOSE_DESTINATION = 1
 PURPOSE_MOVEMENT = 2
 PURPOSE_FIELD = 3
-PURPOSE_CELL = 4
 
 
 def derive_stream(
@@ -54,19 +55,20 @@ def derive_stream(
 
 @dataclass
 class SimState:
-    """Everything a run mutates round to round."""
+    """Everything a run mutates round to round; `static_fields` view the rows of `exit_dist` (E, H, W)."""
 
     grid: Grid
     config: SimConfig
     agents: list[Agent]
+    exit_dist: np.ndarray
     static_fields: dict[int, StaticField]
     wall_field: WallDistanceField
     dyn_field: DynamicField
     occupancy: np.ndarray
     counts: np.ndarray
+    density: np.ndarray
     t: int = 0
     trajectory: list[tuple[int, int, int, int]] = field(default_factory=list)
-    density: np.ndarray | None = None
     step_log: list[tuple[int, int, int, int, int, int, int]] = field(default_factory=list)
     alive_counts: list[int] = field(default_factory=list)
     exit_rounds: dict[int, int] = field(default_factory=dict)
@@ -99,9 +101,8 @@ class SimResult:
 def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
     """Precompute fields, spawn agents, and validate exit reachability."""
     grid = spec.grid
-    static_fields = {
-        eid: compute_static_field(grid, eid) for eid in range(grid.n_exits)
-    }
+    exit_dist = np.stack([compute_static_field(grid, e).dist for e in range(grid.n_exits)])
+    exit_dist.setflags(write=False)
     wall_field = compute_wall_distance(grid, config.w_max)
 
     agents: list[Agent] = []
@@ -128,9 +129,7 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
         )
     for a in agents:
         x, y = a.pos
-        if not any(
-            math.isfinite(static_fields[e].dist[y, x]) for e in a.allowed_exits
-        ):
+        if not any(math.isfinite(exit_dist[e, y, x]) for e in a.allowed_exits):
             raise SimulationError(
                 f"agent {a.id} at ({x}, {y}) cannot reach any of its allowed exits"
             )
@@ -143,7 +142,8 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
         grid=grid,
         config=config,
         agents=agents,
-        static_fields=static_fields,
+        exit_dist=exit_dist,
+        static_fields={e: StaticField(exit_id=e, dist=exit_dist[e]) for e in range(grid.n_exits)},
         wall_field=wall_field,
         dyn_field=DynamicField(grid),
         occupancy=occupancy,
@@ -163,25 +163,23 @@ def run_round(state: SimState) -> None:
     seed = cfg.seed
     t = state.t
     alive = state.alive_agents()
+    ids = np.array([a.id for a in alive], dtype=np.int64)
+    n = len(state.agents)
 
-    for a in alive:
-        choose_exit(a, state.static_fields, derive_stream(seed, t, a.id, PURPOSE_EXIT))
-
+    choose_exit(alive, state.exit_dist, derive_stream(seed, t, 0, PURPOSE_EXIT).random(n)[ids])
     world = WorldView(
         grid=state.grid,
-        static_fields=state.static_fields,
+        exit_dist=state.exit_dist,
         wall_field=state.wall_field,
         dyn_field=state.dyn_field,
         counts=state.counts,
         occupancy=state.occupancy,
         w_max=cfg.w_max,
     )
-    destinations = {
-        a.id: choose_destination(a, world, derive_stream(seed, t, a.id, PURPOSE_DESTINATION))
-        for a in alive
-    }
+    cells = choose_destination(alive, world, derive_stream(seed, t, 0, PURPOSE_DESTINATION).random(n)[ids])
+    destinations = {a.id: c for a, c in zip(alive, cells)}
 
-    starts = {a.id: a.pos for a in alive}
+    starts = [a.pos for a in alive]
     execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, 0, PURPOSE_MOVEMENT))
 
     state.dyn_field.record_moves(execution.net_moves)
@@ -190,23 +188,21 @@ def run_round(state: SimState) -> None:
     round_no = t + 1
     for i, (aid, fx, fy, tx, ty) in enumerate(execution.steps):
         state.step_log.append((round_no, i, aid, fx, fy, tx, ty))
-    for a in alive:
-        sx, sy = starts[a.id]
-        a.last_disp = (a.pos[0] - sx, a.pos[1] - sy)
-        state.trajectory.append((round_no, a.id, a.pos[0], a.pos[1]))
-        state.density[a.pos[1], a.pos[0]] += 1
-
-    for a in alive:
-        if a.alive and state.grid.is_exit(a.pos[0], a.pos[1]):
+    state.occupancy = np.zeros_like(state.occupancy)
+    remaining = []
+    for a, (sx, sy) in zip(alive, starts):
+        x, y = a.pos
+        a.last_disp = (x - sx, y - sy)
+        state.trajectory.append((round_no, a.id, x, y))
+        state.density[y, x] += 1
+        if state.grid.is_exit(x, y):
             a.alive = False
             state.exit_rounds[a.id] = round_no
-
-    state.occupancy = np.zeros_like(state.occupancy)
-    remaining = state.alive_agents()
-    positions = {a.pos for a in remaining}
-    assert len(positions) == len(remaining), "two agents on one cell at round end"
-    for a in remaining:
-        state.occupancy[a.pos[1], a.pos[0]] = True
+            continue
+        if state.occupancy[y, x]:
+            raise SimulationError(f"two agents on cell ({x}, {y}) at the end of round {round_no}")
+        state.occupancy[y, x] = True
+        remaining.append(a)
     state.counts = crowd_counts(state.occupancy)
     state.alive_counts.append(len(remaining))
     state.t = round_no
@@ -215,9 +211,9 @@ def run_round(state: SimState) -> None:
 def run_simulation(spec: ScenarioSpec, config: SimConfig) -> SimResult:
     """Run rounds until everyone evacuated or max_rounds is hit."""
     state = init_state(spec, config)
-    while state.alive_agents() and state.t < config.max_rounds:
+    while state.alive_counts[-1] and state.t < config.max_rounds:
         run_round(state)
-    evacuated = not state.alive_agents()
+    evacuated = not state.alive_counts[-1]
     return SimResult(
         evacuation_rounds=state.t if evacuated else None,
         agents_total=len(state.agents),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision import Agent
+from .decision import Agent, SimulationError
 from .scenario import Grid, moore_steps
 
 
@@ -133,7 +133,8 @@ def execute_round(
         if new_pos is None:
             finished.add(aid)
             continue
-        assert new_pos not in occupied, f"two agents on one cell {new_pos}"
+        if new_pos in occupied:
+            raise SimulationError(f"two agents on one cell {new_pos}")
         occupied.discard(a.pos)
         occupied.add(new_pos)
         result.steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))

@@ -62,9 +62,6 @@ class Grid:
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def is_wall(self, x: int, y: int) -> bool:
-        return self.kind[y, x] == WALL
-
     def is_exit(self, x: int, y: int) -> bool:
         return self.kind[y, x] == EXIT
 

@@ -2,11 +2,14 @@
 
 The distance oracle here is intentionally naive (fixpoint relaxation over the
 whole grid) so it shares no code with the package's priority-queue search.
+The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
+for the package's batched decision kernels.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -106,3 +109,79 @@ def open_room_rows(width: int, height: int, exits: list[tuple[int, int]]) -> lis
     for x, y in exits:
         grid[y][x] = "E"
     return ["".join(row) for row in grid]
+
+
+# ------------------------------------------------------- decision oracles
+
+def exit_weight(agent, exit_id: int, dist: np.ndarray) -> float:
+    """(1 + persistence bonus) / max(S, 1)^2 for one allowed, reachable exit; else 0."""
+    x, y = agent.pos
+    s = dist[y, x]
+    if exit_id not in agent.allowed_exits or not math.isfinite(s):
+        return 0.0
+    bonus = agent.k_e if exit_id == agent.chosen_exit else 0.0
+    return (1.0 + bonus) / max(s, 1.0) ** 2
+
+
+def logw_static(agent, cell: tuple[int, int], dist: np.ndarray) -> float:
+    """-k_S * S at the candidate cell, S read from one exit's distance array."""
+    return -agent.k_s * dist[cell[1], cell[0]]
+
+
+def logw_dynamic(agent, cell: tuple[int, int], df) -> float:
+    """k_D * (trace at the candidate) . (candidate offset from the agent's cell)."""
+    dx, dy = df.field_at(cell)
+    return agent.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
+
+
+def logw_inertia(agent, cell: tuple[int, int]) -> float:
+    """-k_I * (v_next + v_prev) * sin(|phi|/2), phi the turn angle; 0 when standing."""
+    ux, uy = agent.last_disp
+    vx, vy = cell[0] - agent.pos[0], cell[1] - agent.pos[1]
+    v_prev = math.hypot(ux, uy)
+    v_next = math.hypot(vx, vy)
+    if v_prev == 0.0 or v_next == 0.0:
+        return 0.0
+    cos_phi = max(-1.0, min(1.0, (ux * vx + uy * vy) / (v_prev * v_next)))
+    sin_half = math.sqrt((1.0 - cos_phi) / 2.0)
+    return -agent.k_i * (v_next + v_prev) * sin_half
+
+
+def logw_wall(cell: tuple[int, int], wf, k_w: float, w_max: float) -> float:
+    """-k_W * (w_max - W) inside the wall zone; 0 once W >= w_max."""
+    w = wf.wdist[cell[1], cell[0]]
+    if w >= w_max:
+        return 0.0
+    return -k_w * (w_max - w)
+
+
+def logw_polite(cell: tuple[int, int], counts: np.ndarray, k_p: float) -> float:
+    """-k_P * number of agents adjacent to the candidate cell."""
+    return -k_p * counts[cell[1], cell[0]]
+
+
+def logw_total(agent, cell: tuple[int, int], world) -> float:
+    """Sum of the five per-cell factors for the agent's chosen exit."""
+    return (
+        logw_static(agent, cell, world.exit_dist[agent.chosen_exit])
+        + logw_dynamic(agent, cell, world.dyn_field)
+        + logw_inertia(agent, cell)
+        + logw_wall(cell, world.wall_field, agent.k_w, world.w_max)
+        + logw_polite(cell, world.counts, agent.k_p)
+    )
+
+
+def agent_distribution(agent, world) -> SimpleNamespace:
+    """One agent's candidate cells (m, 2) and their probabilities (m,), from the batched kernel."""
+    from evacsim.decision import destination_distribution
+
+    (block,) = destination_distribution([agent], world)
+    keep = block.candidate[0]
+    return SimpleNamespace(cells=block.cells[0][keep], probs=block.probs[0][keep])
+
+
+def field_stack(grid) -> np.ndarray:
+    """(E, H, W) stack of the grid's exit distance fields."""
+    from evacsim.static_field import compute_static_field
+
+    return np.stack([compute_static_field(grid, e).dist for e in range(grid.n_exits)])

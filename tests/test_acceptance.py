@@ -24,7 +24,6 @@ from evacsim.decision import (
     choose_destination,
     choose_exit,
     crowd_counts,
-    destination_distribution,
 )
 from evacsim.dynamic_field import DynamicField
 from evacsim.engine import run_simulation
@@ -32,6 +31,8 @@ from evacsim.scenario import Grid, SimConfig, parse_scenario
 from evacsim.static_field import compute_static_field, compute_wall_distance
 
 from helpers import (
+    agent_distribution,
+    field_stack,
     kind_from_rows,
     make_agent,
     open_room_rows,
@@ -55,7 +56,7 @@ def _make_world(rows, w_max=3.0):
     occupancy = np.zeros((grid.height, grid.width), dtype=bool)
     return WorldView(
         grid=grid,
-        static_fields={e: compute_static_field(grid, e) for e in range(grid.n_exits)},
+        exit_dist=field_stack(grid),
         wall_field=compute_wall_distance(grid, w_max),
         dyn_field=DynamicField(grid),
         counts=crowd_counts(occupancy),
@@ -201,9 +202,9 @@ def test_criterion_03_destination_normalization():
         )
         agent.chosen_exit = 0
         agent.last_disp = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-        if not np.isfinite(world.static_fields[0].dist[y, x]):
+        if not np.isfinite(world.exit_dist[0, y, x]):
             continue
-        dist = destination_distribution(agent, world)
+        dist = agent_distribution(agent, world)
         if (dist.probs < 0).any():
             _verdict(3, "destination normalization", False, "negative probability")
         worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
@@ -214,13 +215,13 @@ def test_criterion_04_zero_coupling_uniformity():
     world = _make_world(open_room_rows(17, 17, exits=[(0, 8)]))
     agent = make_agent(0, (8, 8), v_max=2)
     agent.chosen_exit = 0
-    dist = destination_distribution(agent, world)
+    dist = agent_distribution(agent, world)
     assert len(dist.probs) == 13
     rng = np.random.default_rng(440044)
     n = 100_000
     tally: dict[tuple[int, int], int] = {}
     for _ in range(n):
-        c = choose_destination(agent, world, rng)
+        c = choose_destination([agent], world, rng.random(1))[0]
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -231,7 +232,7 @@ def test_criterion_04_zero_coupling_uniformity():
 def test_criterion_05_exit_choice_law():
     spec = parse_scenario((SCENARIOS / "two_exits.txt").read_text())
     grid = spec.grid
-    fields = {e: compute_static_field(grid, e) for e in range(grid.n_exits)}
+    fields = field_stack(grid)
     n = 100_000
 
     agent = make_agent(0, (3, 1))
@@ -240,7 +241,7 @@ def test_criterion_05_exit_choice_law():
     near = 0
     for _ in range(n):
         agent.chosen_exit = None
-        near += choose_exit(agent, fields, rng) == 0
+        near += choose_exit([agent], fields, rng.random(1))[0] == 0
     plain_err = abs(near / n - 0.8)
 
     sticky = make_agent(1, (3, 1), k_e=1.0)
@@ -248,7 +249,7 @@ def test_criterion_05_exit_choice_law():
     near_sticky = 0
     for _ in range(n):
         sticky.chosen_exit = 1  # far exit was last round's choice
-        near_sticky += choose_exit(sticky, fields, rng) == 0
+        near_sticky += choose_exit([sticky], fields, rng.random(1))[0] == 0
     sticky_err = abs(near_sticky / n - 2 / 3)
 
     ok = plain_err < 0.01 and sticky_err < 0.01
@@ -296,7 +297,7 @@ def test_criterion_08_inertia_suppression():
     agent = make_agent(0, (12, 12), v_max=3, k_i=5.0)
     agent.chosen_exit = 0
     agent.last_disp = (3, 0)  # one forced eastward round at full speed
-    dist = destination_distribution(agent, world)
+    dist = agent_distribution(agent, world)
     backward = 0.0
     for (x, y), p in zip(dist.cells, dist.probs):
         off = (int(x) - 12, int(y) - 12)

@@ -8,28 +8,35 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from evacsim import decision
 from evacsim.decision import (
     Agent,
     SimulationError,
     WorldView,
-    candidate_cells,
     choose_destination,
     choose_exit,
     crowd_counts,
     destination_distribution,
     exit_weights,
+    softmax_from_log,
+)
+from evacsim.dynamic_field import DynamicField
+from evacsim.scenario import Grid, neighborhood
+from evacsim.static_field import compute_wall_distance
+
+from helpers import (
+    agent_distribution,
+    exit_weight,
+    field_stack,
+    kind_from_rows,
     logw_dynamic,
     logw_inertia,
     logw_polite,
     logw_static,
+    logw_total,
     logw_wall,
-    softmax_from_log,
+    open_room_rows,
 )
-from evacsim.dynamic_field import DynamicField
-from evacsim.scenario import Grid
-from evacsim.static_field import compute_static_field, compute_wall_distance
-
-from helpers import kind_from_rows, open_room_rows
 
 LN2 = math.log(2.0)
 
@@ -49,7 +56,7 @@ def make_world(rows, *, w_max=3.0, others=()) -> WorldView:
         occupancy[y, x] = True
     return WorldView(
         grid=grid,
-        static_fields={e: compute_static_field(grid, e) for e in range(grid.n_exits)},
+        exit_dist=field_stack(grid),
         wall_field=compute_wall_distance(grid, w_max),
         dyn_field=DynamicField(grid),
         counts=crowd_counts(occupancy),
@@ -66,8 +73,8 @@ TWO_EXIT_ROWS = ["WWWWWWWWW", "WE.....EW", "WWWWWWWWW"]  # S=2 left, S=4 right f
 def test_exit_weights_two_exits():
     world = make_world(TWO_EXIT_ROWS)
     a = make_agent((3, 1), exits=(0, 1))
-    ids, w = exit_weights(a, world.static_fields)
-    assert ids == [0, 1]
+    w = exit_weights([a], world.exit_dist)[0]
+    assert len(w) == 2
     probs = w / w.sum()
     assert math.isclose(probs[0], 0.8, abs_tol=1e-12)
     assert math.isclose(probs[1], 0.2, abs_tol=1e-12)
@@ -77,7 +84,7 @@ def test_exit_weights_with_persistence_on_far_exit():
     world = make_world(TWO_EXIT_ROWS)
     a = make_agent((3, 1), k_e=1.0, exits=(0, 1))
     a.chosen_exit = 1
-    _, w = exit_weights(a, world.static_fields)
+    w = exit_weights([a], world.exit_dist)[0]
     probs = w / w.sum()
     assert math.isclose(probs[0], 2 / 3, abs_tol=1e-12)
     assert math.isclose(probs[1], 1 / 3, abs_tol=1e-12)
@@ -89,7 +96,7 @@ def test_single_allowed_exit_is_certain():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a.chosen_exit = None
-        assert choose_exit(a, world.static_fields, rng) == 1
+        assert choose_exit([a], world.exit_dist, rng.random(1))[0] == 1
         assert a.chosen_exit == 1
 
 
@@ -98,7 +105,7 @@ def test_exit_distance_clamped_at_one_cell():
     rows = ["WWWW", "WE.W", "WWWW"]
     world = make_world(rows)
     a = make_agent((1, 1))
-    _, w = exit_weights(a, world.static_fields)
+    w = exit_weights([a], world.exit_dist)[0]
     assert w[0] == 1.0
 
 
@@ -110,9 +117,9 @@ def test_unreachable_exit_gets_zero_weight():
     ]
     world = make_world(rows)
     a = make_agent((2, 1), exits=(0, 1))
-    ids, w = exit_weights(a, world.static_fields)
-    assert w[ids.index(1)] == 0.0
-    assert w[ids.index(0)] > 0.0
+    w = exit_weights([a], world.exit_dist)[0]
+    assert w[1] == 0.0
+    assert w[0] > 0.0
 
 
 def test_all_exits_unreachable_raises():
@@ -124,7 +131,7 @@ def test_all_exits_unreachable_raises():
     world = make_world(rows)
     a = make_agent((1, 1), exits=(0,))
     with pytest.raises(SimulationError):
-        choose_exit(a, world.static_fields, np.random.default_rng(0))
+        choose_exit([a], world.exit_dist, np.random.default_rng(0).random(1))
 
 
 def test_choose_exit_frequencies():
@@ -135,7 +142,7 @@ def test_choose_exit_frequencies():
     hits = 0
     for _ in range(n):
         a.chosen_exit = None
-        hits += choose_exit(a, world.static_fields, rng) == 0
+        hits += choose_exit([a], world.exit_dist, rng.random(1))[0] == 0
     # binomial 5 sigma around 0.8
     assert abs(hits / n - 0.8) < 5 * math.sqrt(0.8 * 0.2 / n)
 
@@ -170,13 +177,15 @@ def test_crowd_counts_full_block():
 def test_candidate_cells_open_v2():
     world = make_world(open_room_rows(11, 11, exits=[(0, 5)]))
     a = make_agent((5, 5), v_max=2)
-    assert len(candidate_cells(a, world.grid, world.occupancy)) == 13
+    a.chosen_exit = 0
+    assert len(agent_distribution(a, world).cells) == 13
 
 
 def test_candidate_cells_excludes_other_agents_but_not_self():
     world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=[(5, 5), (6, 5)])
     a = make_agent((5, 5), v_max=2)
-    cells = {(int(x), int(y)) for x, y in candidate_cells(a, world.grid, world.occupancy)}
+    a.chosen_exit = 0
+    cells = {(int(x), int(y)) for x, y in agent_distribution(a, world).cells}
     assert (5, 5) in cells
     assert (6, 5) not in cells
     assert len(cells) == 12
@@ -187,7 +196,8 @@ def test_boxed_in_agent_keeps_own_cell():
               (3, 5), (7, 5), (5, 3), (5, 7)]
     world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
     a = make_agent((5, 5), v_max=2)
-    cells = {(int(x), int(y)) for x, y in candidate_cells(a, world.grid, world.occupancy)}
+    a.chosen_exit = 0
+    cells = {(int(x), int(y)) for x, y in agent_distribution(a, world).cells}
     assert cells == {(5, 5)}
 
 
@@ -195,12 +205,12 @@ def test_boxed_in_agent_keeps_own_cell():
 
 def test_logw_static_values():
     world = make_world(["WWWWW", "WE..W", "WWWWW"])
-    sf = world.static_fields[0]
+    sf = world.exit_dist[0]
     assert logw_static(make_agent((2, 1), k_s=0.0), (3, 1), sf) == 0.0
     assert math.isclose(logw_static(make_agent((2, 1), k_s=1.0), (3, 1), sf), -2.0, abs_tol=1e-12)
     # k_S=0.5 at distance 4
     world2 = make_world(["WWWWWWW", "WE....W", "WWWWWWW"])
-    sf2 = world2.static_fields[0]
+    sf2 = world2.exit_dist[0]
     assert math.isclose(logw_static(make_agent((2, 1), k_s=0.5), (5, 1), sf2), -2.0, abs_tol=1e-12)
 
 
@@ -279,7 +289,7 @@ def test_two_candidate_distribution_is_two_thirds_one_third():
     world = make_world(["WWWWW", "WE..W", "WWWWW"])
     a = make_agent((3, 1), v_max=1, k_s=LN2)
     a.chosen_exit = 0
-    dist = destination_distribution(a, world)
+    dist = agent_distribution(a, world)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert set(by_cell) == {(2, 1), (3, 1)}
     assert math.isclose(by_cell[(2, 1)], 2 / 3, abs_tol=1e-12)
@@ -292,10 +302,10 @@ def test_single_candidate_probability_one():
     world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
     a = make_agent((5, 5), v_max=2)
     a.chosen_exit = 0
-    dist = destination_distribution(a, world)
+    dist = agent_distribution(a, world)
     assert len(dist.probs) == 1
     assert dist.probs[0] == 1.0
-    assert choose_destination(a, world, np.random.default_rng(0)) == (5, 5)
+    assert choose_destination([a], world, np.random.default_rng(0).random(1))[0] == (5, 5)
 
 
 def test_unreachable_candidates_get_zero_probability():
@@ -309,7 +319,7 @@ def test_unreachable_candidates_get_zero_probability():
     world = make_world(rows)
     a = make_agent((2, 1), v_max=2)
     a.chosen_exit = 0
-    dist = destination_distribution(a, world)
+    dist = agent_distribution(a, world)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert (2, 3) in by_cell  # inside the disc, but sealed off the exit
     assert by_cell[(2, 3)] == 0.0
@@ -334,7 +344,7 @@ def test_normalization_on_random_worlds():
         )
         a.chosen_exit = 0
         a.last_disp = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        dist = destination_distribution(a, world)
+        dist = agent_distribution(a, world)
         assert (dist.probs >= 0).all()
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
@@ -343,10 +353,10 @@ def test_static_monotonicity():
     world = make_world(open_room_rows(13, 13, exits=[(0, 6)]))
     a = make_agent((6, 6), v_max=2, k_s=0.8)
     a.chosen_exit = 0
-    dist = destination_distribution(a, world)
-    sf = world.static_fields[0]
+    dist = agent_distribution(a, world)
+    sf = world.exit_dist[0]
     pairs = [
-        (sf.dist[int(y), int(x)], p) for (x, y), p in zip(dist.cells, dist.probs)
+        (sf[int(y), int(x)], p) for (x, y), p in zip(dist.cells, dist.probs)
     ]
     for s1, p1 in pairs:
         for s2, p2 in pairs:
@@ -358,14 +368,14 @@ def test_zero_coupling_uniformity_chi_square():
     world = make_world(open_room_rows(17, 17, exits=[(0, 8)]))
     a = make_agent((8, 8), v_max=2)
     a.chosen_exit = 0
-    dist = destination_distribution(a, world)
+    dist = agent_distribution(a, world)
     assert len(dist.probs) == 13
     assert np.allclose(dist.probs, 1 / 13, atol=1e-15)
     rng = np.random.default_rng(777)
     n = 20_000
     tally: dict[tuple[int, int], int] = {}
     for _ in range(n):
-        c = choose_destination(a, world, rng)
+        c = choose_destination([a], world, rng.random(1))[0]
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -379,8 +389,8 @@ def test_scalar_and_vector_paths_agree():
     a = make_agent((6, 6), v_max=3, k_s=0.7, k_d=0.25, k_i=0.9, k_w=1.1, k_p=0.4)
     a.chosen_exit = 0
     a.last_disp = (1, -2)
-    dist = destination_distribution(a, world)
-    sf = world.static_fields[0]
+    dist = agent_distribution(a, world)
+    sf = world.exit_dist[0]
     logs = []
     for x, y in dist.cells:
         cell = (int(x), int(y))
@@ -393,3 +403,84 @@ def test_scalar_and_vector_paths_agree():
         )
     expected = softmax_from_log(np.array(logs))
     assert np.allclose(dist.probs, expected, rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------ batched kernels
+
+# Open on all four sides (edge agents see off-grid disc cells), two interior
+# wall bars, one exit cell in each of two opposite corners.
+KERNEL_ROWS = [
+    "E...........",
+    "............",
+    "...W........",
+    "...W....W...",
+    "........W...",
+    "............",
+    "............",
+    "...........E",
+]
+
+# pos, v_max, (k_s, k_d, k_i, k_w, k_p, k_e), allowed exits, last exit, last_disp
+KERNEL_AGENTS = [
+    ((0, 3), 4, (1.3, 0.4, 0.7, 0.5, 0.3, 1.0), (0, 1), 1, (1, -2)),
+    ((1, 3), 1, (2.0, 0.1, 0.2, 0.9, 0.6, 0.5), (0,), 0, (0, 0)),
+    ((4, 2), 3, (0.8, -0.3, 1.1, 1.2, 0.2, 2.0), (1,), None, (-2, 0)),
+    ((11, 4), 2, (1.7, 0.2, 0.4, 0.3, 0.8, 0.7), (0, 1), 0, (0, 1)),
+    ((5, 7), 3, (0.5, 0.6, 0.9, 0.4, 0.4, 1.5), (0, 1), None, (3, 0)),
+    ((6, 7), 4, (1.1, 0.25, 0.3, 0.7, 0.5, 0.2), (0, 1), 1, (-1, -1)),
+    ((9, 3), 2, (0.9, 0.15, 0.6, 1.0, 0.1, 0.0), (1,), 1, (2, 1)),
+    ((7, 0), 1, (1.4, 0.35, 0.5, 0.2, 0.9, 0.8), (0, 1), None, (0, 0)),
+    ((2, 4), 4, (0.6, 0.05, 1.4, 0.6, 0.7, 1.2), (0, 1), 0, (0, -3)),
+]
+
+
+def make_kernel_world():
+    rng = np.random.default_rng(31)
+    agents = []
+    for i, (pos, v_max, (k_s, k_d, k_i, k_w, k_p, k_e), exits, last_exit, last_disp) in enumerate(KERNEL_AGENTS):
+        a = make_agent(pos, v_max=v_max, k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p,
+                       k_e=k_e, exits=exits, agent_id=i)
+        a.chosen_exit = last_exit
+        a.last_disp = last_disp
+        agents.append(a)
+    world = make_world(KERNEL_ROWS, w_max=2.5, others=[a.pos for a in agents])
+    world.dyn_field.dx[:] = rng.integers(-4, 5, world.dyn_field.dx.shape)
+    world.dyn_field.dy[:] = rng.integers(-4, 5, world.dyn_field.dy.shape)
+    return agents, world
+
+
+def test_exit_kernel_rows_match_oracle():
+    agents, world = make_kernel_world()
+    w = exit_weights(agents, world.exit_dist)
+    assert w.shape == (len(agents), world.grid.n_exits)
+    for row, a in zip(w, agents):
+        for e in range(world.grid.n_exits):
+            assert math.isclose(row[e], exit_weight(a, e, world.exit_dist[e]), rel_tol=0, abs_tol=1e-12)
+    chosen = choose_exit(agents, world.exit_dist, np.random.default_rng(8).random(len(agents)))
+    for a, e in zip(agents, chosen):
+        assert a.chosen_exit == e and e in a.allowed_exits
+
+
+@pytest.mark.parametrize("block_rows", [2, decision.BLOCK_ROWS])
+def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
+    monkeypatch.setattr(decision, "BLOCK_ROWS", block_rows)
+    agents, world = make_kernel_world()
+    choose_exit(agents, world.exit_dist, np.random.default_rng(9).random(len(agents)))
+    held = {a.pos for a in agents}
+    seen = []
+    for block in destination_distribution(agents, world):
+        assert len(block.rows) <= block_rows
+        for i, r in enumerate(block.rows):
+            a = agents[r]
+            seen.append(int(r))
+            cand = block.candidate[i]
+            cells = [(int(x), int(y)) for x, y in block.cells[i]]
+            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.v_max, world.grid)}
+            expected -= held - {a.pos}
+            assert {c for c, ok in zip(cells, cand) if ok} == expected
+            assert np.isneginf(block.logw[i][~cand]).all()
+            for c, ok, lw in zip(cells, cand, block.logw[i]):
+                if ok:
+                    assert math.isclose(lw, logw_total(a, c, world), rel_tol=0, abs_tol=1e-12)
+            assert abs(block.probs[i].sum() - 1.0) <= 1e-12
+    assert sorted(seen) == list(range(len(agents)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pathlib
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from evacsim import engine
 from evacsim.decision import SimulationError, crowd_counts
 from evacsim.engine import (
     PURPOSE_DESTINATION,
@@ -18,6 +20,7 @@ from evacsim.engine import (
     run_round,
     run_simulation,
 )
+from evacsim.movement import RoundExecution
 from evacsim.scenario import SimConfig, parse_scenario
 
 from helpers import open_room_rows, rows_to_text
@@ -196,3 +199,75 @@ def test_zero_coupling_agent_performs_lazy_uniform_walk():
     observed = [tally.get(d, 0) for d in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
     res = stats.chisquare(observed)
     assert res.pvalue > 0.001
+
+
+# ------------------------------------------------------ draws and invariants
+
+def capture_draws(monkeypatch, state) -> dict[str, dict]:
+    """Run one round; return each agent's exit and destination uniform and its chosen exit, by id."""
+    draws: dict[str, dict[int, float]] = {"exit": {}, "dest": {}}
+
+    def spy(key, kernel):
+        def wrapped(agents, where, u):
+            draws[key].update((a.id, float(x)) for a, x in zip(agents, u))
+            return kernel(agents, where, u)
+        return wrapped
+
+    monkeypatch.setattr(engine, "choose_exit", spy("exit", engine.choose_exit))
+    monkeypatch.setattr(engine, "choose_destination", spy("dest", engine.choose_destination))
+    run_round(state)
+    monkeypatch.undo()
+    draws["chosen"] = {a.id: a.chosen_exit for a in state.agents}
+    return draws
+
+
+def test_removing_an_agent_keeps_the_others_draws(monkeypatch):
+    spec = load("room")
+    full = init_state(spec, SimConfig(seed=21))
+    less = init_state(spec, SimConfig(seed=21))
+    gone = less.agents[4]
+    gone.alive = False
+    less.occupancy[gone.pos[1], gone.pos[0]] = False
+    less.counts = crowd_counts(less.occupancy)
+    a = capture_draws(monkeypatch, full)
+    b = capture_draws(monkeypatch, less)
+    assert set(b["exit"]) == set(a["exit"]) - {gone.id}
+    for key in ("exit", "dest"):
+        assert b[key] == {aid: u for aid, u in a[key].items() if aid != gone.id}
+    assert {aid: e for aid, e in b["chosen"].items() if aid != gone.id} == {
+        aid: e for aid, e in a["chosen"].items() if aid != gone.id
+    }
+
+
+def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
+    spec = load("room")
+    state = init_state(spec, SimConfig(seed=0))
+    a, b = state.agents[:2]
+    state.occupancy[b.pos[1], b.pos[0]] = False
+    b.pos = a.pos
+    state.counts = crowd_counts(state.occupancy)
+    monkeypatch.setattr(engine, "execute_round", lambda agents, destinations, grid, rng: RoundExecution())
+    with pytest.raises(SimulationError, match="two agents"):
+        run_round(state)
+
+
+# Trajectory and step-log digests of the shipped scenarios. A change that
+# keeps the random streams must keep them; a deliberate change of streams or
+# of the rules updates them.
+GOLDEN_DIGESTS = {
+    ("corridor", 0): "2245502a9e8792db765efc43f2b9f85658765dba29bb73a0714cb25c795223a1",
+    ("corridor", 1): "2245502a9e8792db765efc43f2b9f85658765dba29bb73a0714cb25c795223a1",
+    ("two_exits", 0): "783a8e82b878baad5ecbcc4b202d8895364713c06ef6f067d8efc24d61d5b542",
+    ("two_exits", 1): "783a8e82b878baad5ecbcc4b202d8895364713c06ef6f067d8efc24d61d5b542",
+    ("room", 0): "3fd3eb8542d257f48a5546c6412a7f0e7b02a54346063801d0f5bf9437b0135e",
+    ("room", 1): "c7023ba39561589ca9803c217f45ae21903f3393cde8a31c83673e7c37f13960",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(name, seed):
+    result = run_simulation(load(name), SimConfig(seed=seed))
+    h = hashlib.sha256()
+    h.update(np.asarray(result.trajectory, dtype=np.int64).tobytes())
+    h.update(np.asarray(result.step_log, dtype=np.int64).tobytes())
+    assert h.hexdigest() == GOLDEN_DIGESTS[(name, seed)]
