@@ -15,8 +15,6 @@ from .scenario import (
 )
 from .static_field import (
     UNREACHABLE,
-    StaticField,
-    WallDistanceField,
     compute_static_field,
     compute_wall_distance,
 )
@@ -25,7 +23,6 @@ from .decision import (
     Agent,
     DestinationDistribution,
     SimulationError,
-    WorldView,
     choose_destination,
     choose_exit,
     destination_distribution,
@@ -56,15 +53,12 @@ __all__ = [
     "parse_scenario",
     "render_scenario",
     "UNREACHABLE",
-    "StaticField",
-    "WallDistanceField",
     "compute_static_field",
     "compute_wall_distance",
     "DynamicField",
     "Agent",
     "DestinationDistribution",
     "SimulationError",
-    "WorldView",
     "choose_destination",
     "choose_exit",
     "destination_distribution",

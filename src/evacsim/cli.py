@@ -15,22 +15,12 @@ from dataclasses import replace
 
 from .decision import SimulationError
 from .engine import ROUND_SECONDS, SimResult, init_state, run_simulation
-from .pgm import format_pgm
-from .scenario import Grid, ParseError, ScenarioSpec, SimConfig, WALL, EXIT, parse_scenario
+from .scenario import KIND_CHAR, PROFILE_KEYS, Grid, ParseError, ScenarioSpec, SimConfig, parse_scenario
 
 EMIT_CHOICES = ("trajectories", "summary", "heatmap", "snapshots", "steplog")
 DEFAULT_EMIT = "trajectories,summary"
 
 _CONFIG_FLOAT_KEYS = ("delta", "alpha", "w_max")
-_CONFIG_PROFILE_KEYS = {
-    "v_max": "v_max",
-    "k_S": "k_s",
-    "k_D": "k_d",
-    "k_I": "k_i",
-    "k_W": "k_w",
-    "k_P": "k_p",
-    "k_E": "k_e",
-}
 
 
 class UsageError(Exception):
@@ -76,8 +66,8 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
                 sim_kwargs[key] = int(value)
             elif key == "v_max":
                 profile_kwargs["v_max"] = int(value)
-            elif key in _CONFIG_PROFILE_KEYS:
-                profile_kwargs[_CONFIG_PROFILE_KEYS[key]] = float(value)
+            elif key in PROFILE_KEYS:
+                profile_kwargs[PROFILE_KEYS[key]] = float(value)
             else:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
         except ValueError as exc:
@@ -87,13 +77,7 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
 
 def render_snapshot(grid: Grid, positions: list[tuple[int, int]]) -> str:
     """ASCII map of one round: walls, floor, exits, agents as 'o'."""
-    chars = []
-    for y in range(grid.height):
-        row = []
-        for x in range(grid.width):
-            kind = grid.kind[y, x]
-            row.append("W" if kind == WALL else "E" if kind == EXIT else ".")
-        chars.append(row)
+    chars = [[KIND_CHAR[k] for k in row] for row in grid.kind.tolist()]
     for x, y in positions:
         chars[y][x] = "o"
     return "\n".join("".join(row) for row in chars) + "\n"
@@ -103,11 +87,11 @@ def heatmap_bytes(result: SimResult) -> str:
     """Cumulative visit counts rescaled to 0..255, PGM P2 text."""
     density = result.density
     peak = int(density.max())
-    if peak == 0:
-        scaled = density
-    else:
-        scaled = density * 255 // peak
-    return format_pgm(scaled, 255)
+    scaled = density if peak == 0 else density * 255 // peak
+    h, w = scaled.shape
+    lines = ["P2", f"{w} {h}", "255"]
+    lines.extend(" ".join(str(v) for v in row) for row in scaled.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
@@ -203,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        results = []
+        all_rounds: list[int | None] = []
         for s in range(args.seed, args.seed + args.seeds):
             result = run_simulation(spec, replace(base_config, seed=s))
             write_outputs(result, args.out, emit)
@@ -213,21 +197,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"seed={s} evacuation_rounds={'none' if rounds is None else rounds}"
                 f" evacuation_seconds={'none' if seconds is None else seconds}"
             )
-            results.append(result)
+            all_rounds.append(rounds)
         if args.seeds > 1:
-            evacuated = [r.evacuation_rounds for r in results if r.evacuation_rounds is not None]
+            evacuated = [r for r in all_rounds if r is not None]
             if evacuated:
                 mean_rounds = sum(evacuated) / len(evacuated)
                 print(
                     f"mean_evacuation_rounds={mean_rounds:.4f}"
                     f" mean_evacuation_seconds={mean_rounds * ROUND_SECONDS:.4f}"
                 )
-            if len(evacuated) < len(results):
-                print(f"non_evacuated_runs={len(results) - len(evacuated)}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
+            if len(evacuated) < len(all_rounds):
+                print(f"non_evacuated_runs={len(all_rounds) - len(evacuated)}")
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -13,13 +13,14 @@ large couplings or trace values cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .dynamic_field import DynamicField
-from .scenario import WALL, Grid, disc_offsets
-from .static_field import WallDistanceField
+from .scenario import WALL, disc_offsets
+
+if TYPE_CHECKING:
+    from .engine import SimState
 
 # rows of one destination block; keeps each temporary (at most 49 candidates
 # x 16 bytes per row up to v_max 4) under malloc's 128 KiB mmap threshold, so
@@ -48,22 +49,6 @@ class Agent:
     chosen_exit: int | None = None
     last_disp: tuple[int, int] = (0, 0)
     alive: bool = True
-
-
-@dataclass(frozen=True)
-class WorldView:
-    """Frozen start-of-round snapshot read by the decision phase.
-
-    `exit_dist` is the (E, H, W) stack of per-exit distance fields.
-    """
-
-    grid: Grid
-    exit_dist: np.ndarray
-    wall_field: WallDistanceField
-    dyn_field: DynamicField
-    counts: np.ndarray
-    occupancy: np.ndarray
-    w_max: float
 
 
 @dataclass
@@ -144,11 +129,13 @@ def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
     )
 
 
-def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[DestinationDistribution]:
+def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[DestinationDistribution]:
     """Destination laws of all agents, one block per v_max class and BLOCK_ROWS rows.
 
-    Every agent needs a chosen exit. The log weight of candidate c for an
-    agent at p is -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
+    Reads the start-of-round `state`: grid, exit and wall distances, trace
+    field, crowd counts, occupancy and `config.w_max`. Every agent needs a
+    chosen exit. The log weight of candidate c for an agent at p is
+    -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
     - k_W max(0, w_max - W(c)) - k_P crowd(c), u being the last displacement
     and phi the turn angle from u to v = c - p (no inertia term while either
     is zero).
@@ -158,9 +145,10 @@ def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[
     chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
     last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
     k = np.array([(a.k_s, a.k_d, a.k_i, a.k_w, a.k_p) for a in agents], dtype=np.float64).reshape(-1, 5)
-    width, height = world.grid.width, world.grid.height
+    width, height = state.grid.width, state.grid.height
+    w_max = state.config.w_max
     # fields are read through flat cell indices y * width + x
-    flat_dist = world.exit_dist.reshape(len(world.exit_dist), -1)
+    flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
     for v in sorted(set(v_max.tolist())):
         offsets = disc_offsets(v)
         offx, offy = offsets[:, 0], offsets[:, 1]
@@ -173,14 +161,14 @@ def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[
             cy = pos[rows, 1, None] + offy
             inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
             at = np.where(inside, cy * width + cx, 0)
-            candidate = inside & (np.take(world.grid.kind, at) != WALL) & (own | ~np.take(world.occupancy, at))
+            candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, at))
             k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k[rows].T)
 
             s = flat_dist[chosen[rows, None], at]
             reachable = candidate & np.isfinite(s)
             logw = np.where(reachable, -k_s * np.where(reachable, s, 0.0), -np.inf)
 
-            logw += k_d * (np.take(world.dyn_field.dx, at) * offx + np.take(world.dyn_field.dy, at) * offy)
+            logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
 
             ux, uy = last[rows, 0, None], last[rows, 1, None]
             v_prev = np.hypot(ux, uy)
@@ -193,10 +181,10 @@ def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[
             sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
             logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
 
-            w = np.take(world.wall_field.wdist, at)
-            logw -= k_w * np.where(w >= world.w_max, 0.0, world.w_max - w)
+            w = np.take(state.wall_dist, at)
+            logw -= k_w * np.where(w >= w_max, 0.0, w_max - w)
 
-            logw -= k_p * np.take(world.counts, at)
+            logw -= k_p * np.take(state.counts, at)
 
             stuck = rows[np.isneginf(logw.max(axis=1))]
             if stuck.size:
@@ -212,10 +200,10 @@ def destination_distribution(agents: list[Agent], world: WorldView) -> Iterator[
             )
 
 
-def choose_destination(agents: list[Agent], world: WorldView, u: np.ndarray) -> list[tuple[int, int]]:
-    """Sample every agent's destination cell for this round, agent i with uniform u[i]."""
+def choose_destination(agents: list[Agent], state: SimState, u: np.ndarray) -> list[tuple[int, int]]:
+    """Sample every agent's destination cell for this round from `state`, agent i with uniform u[i]."""
     dest = np.empty((len(agents), 2), dtype=np.int64)
-    for block in destination_distribution(agents, world):
+    for block in destination_distribution(agents, state):
         idx = sample_rows(block.probs, u[block.rows])
         dest[block.rows] = block.cells[np.arange(len(block.rows)), idx]
     return [(x, y) for x, y in dest.tolist()]

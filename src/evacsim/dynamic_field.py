@@ -24,7 +24,6 @@ _VN_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 class DynamicField:
     def __init__(self, grid: Grid):
-        self.grid = grid
         self.dx = np.zeros((grid.height, grid.width), dtype=np.int64)
         self.dy = np.zeros((grid.height, grid.width), dtype=np.int64)
         self._wall = grid.kind == WALL
@@ -60,19 +59,3 @@ class DynamicField:
             dst += src
         out[self._wall] = 0
         return out
-
-    def field_at(self, p: tuple[int, int]) -> tuple[int, int]:
-        """Current (x-component, y-component) values at p."""
-        x, y = p
-        return int(self.dx[y, x]), int(self.dy[y, x])
-
-    def to_pgm_pair(self) -> tuple[str, str]:
-        """Debug dump of both components, signed values offset-encoded."""
-        from .pgm import format_pgm
-
-        images = []
-        for comp in (self.dx, self.dy):
-            lo = int(comp.min())
-            hi = int(comp.max())
-            images.append(format_pgm(comp - lo, max(1, hi - lo)))
-        return images[0], images[1]

@@ -16,23 +16,11 @@ import math
 
 import numpy as np
 
-from .decision import (
-    Agent,
-    SimulationError,
-    WorldView,
-    choose_destination,
-    choose_exit,
-    crowd_counts,
-)
+from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts
 from .dynamic_field import DynamicField
 from .movement import execute_round
 from .scenario import Grid, ScenarioSpec, SimConfig
-from .static_field import (
-    StaticField,
-    WallDistanceField,
-    compute_static_field,
-    compute_wall_distance,
-)
+from .static_field import compute_static_field, compute_wall_distance
 
 CELL_SIZE_M = 0.4
 ROUND_SECONDS = 1.0
@@ -55,14 +43,17 @@ def derive_stream(
 
 @dataclass
 class SimState:
-    """Everything a run mutates round to round; `static_fields` view the rows of `exit_dist` (E, H, W)."""
+    """Everything a run reads and mutates round to round.
+
+    `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
+    the (H, W) wall distance clamped to `config.w_max`; both are read-only.
+    """
 
     grid: Grid
     config: SimConfig
     agents: list[Agent]
     exit_dist: np.ndarray
-    static_fields: dict[int, StaticField]
-    wall_field: WallDistanceField
+    wall_dist: np.ndarray
     dyn_field: DynamicField
     occupancy: np.ndarray
     counts: np.ndarray
@@ -101,9 +92,8 @@ class SimResult:
 def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
     """Precompute fields, spawn agents, and validate exit reachability."""
     grid = spec.grid
-    exit_dist = np.stack([compute_static_field(grid, e).dist for e in range(grid.n_exits)])
+    exit_dist = np.stack([compute_static_field(grid, e) for e in range(grid.n_exits)])
     exit_dist.setflags(write=False)
-    wall_field = compute_wall_distance(grid, config.w_max)
 
     agents: list[Agent] = []
     for i, spawn in enumerate(spec.spawns):
@@ -143,8 +133,7 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
         config=config,
         agents=agents,
         exit_dist=exit_dist,
-        static_fields={e: StaticField(exit_id=e, dist=exit_dist[e]) for e in range(grid.n_exits)},
-        wall_field=wall_field,
+        wall_dist=compute_wall_distance(grid, config.w_max),
         dyn_field=DynamicField(grid),
         occupancy=occupancy,
         counts=crowd_counts(occupancy),
@@ -167,16 +156,7 @@ def run_round(state: SimState) -> None:
     n = len(state.agents)
 
     choose_exit(alive, state.exit_dist, derive_stream(seed, t, 0, PURPOSE_EXIT).random(n)[ids])
-    world = WorldView(
-        grid=state.grid,
-        exit_dist=state.exit_dist,
-        wall_field=state.wall_field,
-        dyn_field=state.dyn_field,
-        counts=state.counts,
-        occupancy=state.occupancy,
-        w_max=cfg.w_max,
-    )
-    cells = choose_destination(alive, world, derive_stream(seed, t, 0, PURPOSE_DESTINATION).random(n)[ids])
+    cells = choose_destination(alive, state, derive_stream(seed, t, 0, PURPOSE_DESTINATION).random(n)[ids])
     destinations = {a.id: c for a, c in zip(alive, cells)}
 
     starts = [a.pos for a in alive]

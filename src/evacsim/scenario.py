@@ -16,7 +16,7 @@ import numpy as np
 WALL, FLOOR, EXIT = 0, 1, 2
 
 _CHAR_KIND = {"W": WALL, ".": FLOOR, "E": EXIT, "a": FLOOR}
-_KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
+KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,7 +184,7 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-_PROFILE_KEYS = {
+PROFILE_KEYS = {
     "v_max": "v_max",
     "k_S": "k_s",
     "k_D": "k_d",
@@ -320,8 +320,8 @@ def _parse_profile_line(line: str, lineno: int, n_exits: int) -> tuple[str, Agen
                     profile = replace(profile, allowed_exits=ids)
             elif key == "v_max":
                 profile = replace(profile, v_max=int(value))
-            elif key in _PROFILE_KEYS:
-                profile = replace(profile, **{_PROFILE_KEYS[key]: float(value)})
+            elif key in PROFILE_KEYS:
+                profile = replace(profile, **{PROFILE_KEYS[key]: float(value)})
             else:
                 raise ValueError(f"unknown profile key {key!r}")
         except ValueError as exc:
@@ -336,7 +336,7 @@ def _parse_profile_line(line: str, lineno: int, n_exits: int) -> tuple[str, Agen
 def render_scenario(spec: ScenarioSpec) -> str:
     """Render a spec back to scenario text; inverse of parse_scenario."""
     grid = spec.grid
-    chars = [[_KIND_CHAR[int(grid.kind[y, x])] for x in range(grid.width)] for y in range(grid.height)]
+    chars = [[KIND_CHAR[int(grid.kind[y, x])] for x in range(grid.width)] for y in range(grid.height)]
     directives = []
     for spawn in spec.spawns:
         if spawn.profile == "default":
@@ -354,16 +354,6 @@ def render_scenario(spec: ScenarioSpec) -> str:
         )
     lines.extend(directives)
     return "\n".join(lines) + "\n"
-
-
-def moore_neighbors(p: tuple[int, int], grid: Grid) -> list[tuple[int, int]]:
-    """All in-grid cells at Chebyshev distance 1 from p."""
-    x, y = p
-    return [
-        (x + dx, y + dy)
-        for dx, dy in _MOORE_OFFSETS
-        if grid.in_bounds(x + dx, y + dy)
-    ]
 
 
 @lru_cache(maxsize=None)

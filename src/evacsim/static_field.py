@@ -2,37 +2,19 @@
 
 Distances are exact shortest paths on the Moore step graph (orthogonal cost
 1, diagonal cost sqrt(2), closed corners impassable), computed once before a
-run with Dijkstra's algorithm.
+run with Dijkstra's algorithm. Both fields are read-only (H, W) arrays.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .pgm import format_pgm
 from .scenario import EXIT, WALL, Grid, moore_steps
 
 UNREACHABLE = math.inf
-
-
-@dataclass(frozen=True, eq=False)
-class StaticField:
-    """Distance from every cell to one exit group; walls and cut-off cells are inf."""
-
-    exit_id: int
-    dist: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class WallDistanceField:
-    """Distance from every cell to the nearest wall, clamped to w_max."""
-
-    w_max: float
-    wdist: np.ndarray
 
 
 def _dijkstra(grid: Grid, sources: list[tuple[int, int]]) -> np.ndarray:
@@ -54,17 +36,17 @@ def _dijkstra(grid: Grid, sources: list[tuple[int, int]]) -> np.ndarray:
     return dist
 
 
-def compute_static_field(grid: Grid, exit_id: int) -> StaticField:
-    """Shortest Moore-graph distance from every cell to exit group exit_id."""
+def compute_static_field(grid: Grid, exit_id: int) -> np.ndarray:
+    """Shortest Moore-graph distance from every cell to exit group exit_id; walls and cut-off cells are inf."""
     if not 0 <= exit_id < grid.n_exits:
         raise ValueError(f"exit id {exit_id} does not exist")
     ys, xs = np.nonzero((grid.kind == EXIT) & (grid.exit_id == exit_id))
     dist = _dijkstra(grid, [(int(x), int(y)) for x, y in zip(xs, ys)])
     dist.setflags(write=False)
-    return StaticField(exit_id=exit_id, dist=dist)
+    return dist
 
 
-def compute_wall_distance(grid: Grid, w_max: float) -> WallDistanceField:
+def compute_wall_distance(grid: Grid, w_max: float) -> np.ndarray:
     """Multi-source distance to the nearest wall cell, clamped to w_max.
 
     Exit cells are passable, not wall sources; with no wall anywhere every
@@ -74,18 +56,4 @@ def compute_wall_distance(grid: Grid, w_max: float) -> WallDistanceField:
     dist = _dijkstra(grid, [(int(x), int(y)) for x, y in zip(xs, ys)])
     wdist = np.minimum(dist, w_max)
     wdist.setflags(write=False)
-    return WallDistanceField(w_max=w_max, wdist=wdist)
-
-
-def distance_at(field: StaticField, p: tuple[int, int]) -> float:
-    """Distance value at p; UNREACHABLE for walls and cut-off cells."""
-    return float(field.dist[p[1], p[0]])
-
-
-def field_to_pgm(field: StaticField) -> str:
-    """Debug dump: finite distances linearly rescaled to 0-65535, inf mapped to 65535."""
-    dist = field.dist
-    finite = dist[np.isfinite(dist)]
-    top = float(finite.max()) if finite.size and finite.max() > 0 else 1.0
-    values = np.where(np.isfinite(dist), np.rint(dist / top * 65535.0), 65535.0)
-    return format_pgm(values.astype(np.int64), 65535)
+    return wdist

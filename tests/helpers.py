@@ -3,7 +3,8 @@
 The distance oracle here is intentionally naive (fixpoint relaxation over the
 whole grid) so it shares no code with the package's priority-queue search.
 The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
-for the package's batched decision kernels.
+for the package's batched decision kernels, which read a `SimState` built by
+`make_state`.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def logw_static(agent, cell: tuple[int, int], dist: np.ndarray) -> float:
 
 def logw_dynamic(agent, cell: tuple[int, int], df) -> float:
     """k_D * (trace at the candidate) . (candidate offset from the agent's cell)."""
-    dx, dy = df.field_at(cell)
+    dx, dy = df.dx[cell[1], cell[0]], df.dy[cell[1], cell[0]]
     return agent.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
 
 
@@ -147,9 +148,9 @@ def logw_inertia(agent, cell: tuple[int, int]) -> float:
     return -agent.k_i * (v_next + v_prev) * sin_half
 
 
-def logw_wall(cell: tuple[int, int], wf, k_w: float, w_max: float) -> float:
+def logw_wall(cell: tuple[int, int], wall_dist: np.ndarray, k_w: float, w_max: float) -> float:
     """-k_W * (w_max - W) inside the wall zone; 0 once W >= w_max."""
-    w = wf.wdist[cell[1], cell[0]]
+    w = wall_dist[cell[1], cell[0]]
     if w >= w_max:
         return 0.0
     return -k_w * (w_max - w)
@@ -160,28 +161,41 @@ def logw_polite(cell: tuple[int, int], counts: np.ndarray, k_p: float) -> float:
     return -k_p * counts[cell[1], cell[0]]
 
 
-def logw_total(agent, cell: tuple[int, int], world) -> float:
+def logw_total(agent, cell: tuple[int, int], state) -> float:
     """Sum of the five per-cell factors for the agent's chosen exit."""
     return (
-        logw_static(agent, cell, world.exit_dist[agent.chosen_exit])
-        + logw_dynamic(agent, cell, world.dyn_field)
+        logw_static(agent, cell, state.exit_dist[agent.chosen_exit])
+        + logw_dynamic(agent, cell, state.dyn_field)
         + logw_inertia(agent, cell)
-        + logw_wall(cell, world.wall_field, agent.k_w, world.w_max)
-        + logw_polite(cell, world.counts, agent.k_p)
+        + logw_wall(cell, state.wall_dist, agent.k_w, state.config.w_max)
+        + logw_polite(cell, state.counts, agent.k_p)
     )
 
 
-def agent_distribution(agent, world) -> SimpleNamespace:
+def agent_distribution(agent, state) -> SimpleNamespace:
     """One agent's candidate cells (m, 2) and their probabilities (m,), from the batched kernel."""
     from evacsim.decision import destination_distribution
 
-    (block,) = destination_distribution([agent], world)
+    (block,) = destination_distribution([agent], state)
     keep = block.candidate[0]
     return SimpleNamespace(cells=block.cells[0][keep], probs=block.probs[0][keep])
 
 
-def field_stack(grid) -> np.ndarray:
-    """(E, H, W) stack of the grid's exit distance fields."""
-    from evacsim.static_field import compute_static_field
+def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
+    """Start-of-run state of an agent-free grid, with the cells in `others` marked occupied.
 
-    return np.stack([compute_static_field(grid, e).dist for e in range(grid.n_exits)])
+    Built by `init_state`, so its fields are the ones a run reads; the grid
+    need not pass scenario validation.
+    """
+    from evacsim.decision import crowd_counts
+    from evacsim.engine import init_state
+    from evacsim.scenario import DEFAULT_PROFILE, Grid, ScenarioSpec, SimConfig
+
+    spec = ScenarioSpec(
+        grid=Grid.from_kind(kind_from_rows(rows)), profiles={"default": DEFAULT_PROFILE}, spawns=()
+    )
+    state = init_state(spec, SimConfig(w_max=w_max))
+    for x, y in others:
+        state.occupancy[y, x] = True
+    state.counts = crowd_counts(state.occupancy)
+    return state

@@ -19,22 +19,17 @@ import pytest
 from scipy import stats
 
 from evacsim.cli import main as cli_main
-from evacsim.decision import (
-    WorldView,
-    choose_destination,
-    choose_exit,
-    crowd_counts,
-)
+from evacsim.decision import choose_destination, choose_exit
 from evacsim.dynamic_field import DynamicField
-from evacsim.engine import run_simulation
+from evacsim.engine import init_state, run_simulation
 from evacsim.scenario import Grid, SimConfig, parse_scenario
-from evacsim.static_field import compute_static_field, compute_wall_distance
+from evacsim.static_field import compute_static_field
 
 from helpers import (
     agent_distribution,
-    field_stack,
     kind_from_rows,
     make_agent,
+    make_state,
     open_room_rows,
     random_kind,
     relaxation_distances,
@@ -49,20 +44,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _make_world(rows, w_max=3.0):
-    grid = Grid.from_kind(kind_from_rows(rows))
-    occupancy = np.zeros((grid.height, grid.width), dtype=bool)
-    return WorldView(
-        grid=grid,
-        exit_dist=field_stack(grid),
-        wall_field=compute_wall_distance(grid, w_max),
-        dyn_field=DynamicField(grid),
-        counts=crowd_counts(occupancy),
-        occupancy=occupancy,
-        w_max=w_max,
-    )
 
 
 # ----------------------------------------------------- crowded-run fixture
@@ -159,21 +140,21 @@ def test_criterion_02_distance_field_exactness():
         grid = Grid.from_kind(kind)
         grids += 1
         for eid in range(grid.n_exits):
-            field = compute_static_field(grid, eid)
+            dist = compute_static_field(grid, eid)
             sources = [(int(x), int(y)) for y, x in np.argwhere(grid.exit_id == eid)]
             oracle = relaxation_distances(kind, sources)
             finite = np.isfinite(oracle)
-            if not np.array_equal(finite, np.isfinite(field.dist)):
+            if not np.array_equal(finite, np.isfinite(dist)):
                 _verdict(2, "distance-field exactness", False, "reachability mismatch")
-            worst = max(worst, float(np.abs(field.dist[finite] - oracle[finite]).max()))
+            worst = max(worst, float(np.abs(dist[finite] - oracle[finite]).max()))
     _verdict(2, "distance-field exactness", worst <= 1e-9, f"200 grids, worst |err|={worst:.2e}")
 
 
 def test_criterion_03_destination_normalization():
     rng = np.random.default_rng(333)
-    worlds = [
-        _make_world(open_room_rows(15, 15, exits=[(0, 7)])),
-        _make_world(
+    states = [
+        make_state(open_room_rows(15, 15, exits=[(0, 7)])),
+        make_state(
             ["WWWWWWWWWWWW",
              "WE.....W...W",
              "W......W...W",
@@ -186,10 +167,10 @@ def test_criterion_03_destination_normalization():
     ]
     worst = 0.0
     for trial in range(10_000):
-        world = worlds[trial % len(worlds)]
-        world.dyn_field.dx[:] = rng.integers(-5000, 5001, world.dyn_field.dx.shape)
-        world.dyn_field.dy[:] = rng.integers(-5000, 5001, world.dyn_field.dy.shape)
-        floors = np.argwhere(world.grid.kind != 0)
+        state = states[trial % len(states)]
+        state.dyn_field.dx[:] = rng.integers(-5000, 5001, state.dyn_field.dx.shape)
+        state.dyn_field.dy[:] = rng.integers(-5000, 5001, state.dyn_field.dy.shape)
+        floors = np.argwhere(state.grid.kind != 0)
         y, x = floors[int(rng.integers(len(floors)))]
         agent = make_agent(
             0, (int(x), int(y)),
@@ -202,9 +183,9 @@ def test_criterion_03_destination_normalization():
         )
         agent.chosen_exit = 0
         agent.last_disp = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-        if not np.isfinite(world.exit_dist[0, y, x]):
+        if not np.isfinite(state.exit_dist[0, y, x]):
             continue
-        dist = agent_distribution(agent, world)
+        dist = agent_distribution(agent, state)
         if (dist.probs < 0).any():
             _verdict(3, "destination normalization", False, "negative probability")
         worst = max(worst, abs(float(dist.probs.sum()) - 1.0))
@@ -212,16 +193,15 @@ def test_criterion_03_destination_normalization():
 
 
 def test_criterion_04_zero_coupling_uniformity():
-    world = _make_world(open_room_rows(17, 17, exits=[(0, 8)]))
+    state = make_state(open_room_rows(17, 17, exits=[(0, 8)]))
     agent = make_agent(0, (8, 8), v_max=2)
     agent.chosen_exit = 0
-    dist = agent_distribution(agent, world)
+    dist = agent_distribution(agent, state)
     assert len(dist.probs) == 13
     rng = np.random.default_rng(440044)
     n = 100_000
     tally: dict[tuple[int, int], int] = {}
-    for _ in range(n):
-        c = choose_destination([agent], world, rng.random(1))[0]
+    for c in choose_destination([agent] * n, state, rng.random(n)):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -231,25 +211,19 @@ def test_criterion_04_zero_coupling_uniformity():
 
 def test_criterion_05_exit_choice_law():
     spec = parse_scenario((SCENARIOS / "two_exits.txt").read_text())
-    grid = spec.grid
-    fields = field_stack(grid)
+    fields = init_state(spec, SimConfig()).exit_dist
     n = 100_000
 
     agent = make_agent(0, (3, 1))
     agent.allowed_exits = frozenset({0, 1})
     rng = np.random.default_rng(55)
-    near = 0
-    for _ in range(n):
-        agent.chosen_exit = None
-        near += choose_exit([agent], fields, rng.random(1))[0] == 0
+    near = np.count_nonzero(choose_exit([agent] * n, fields, rng.random(n)) == 0)
     plain_err = abs(near / n - 0.8)
 
     sticky = make_agent(1, (3, 1), k_e=1.0)
     sticky.allowed_exits = frozenset({0, 1})
-    near_sticky = 0
-    for _ in range(n):
-        sticky.chosen_exit = 1  # far exit was last round's choice
-        near_sticky += choose_exit([sticky], fields, rng.random(1))[0] == 0
+    sticky.chosen_exit = 1  # far exit was last round's choice
+    near_sticky = np.count_nonzero(choose_exit([sticky] * n, fields, rng.random(n)) == 0)
     sticky_err = abs(near_sticky / n - 2 / 3)
 
     ok = plain_err < 0.01 and sticky_err < 0.01
@@ -293,11 +267,11 @@ def test_criterion_07_corridor_speed():
 
 
 def test_criterion_08_inertia_suppression():
-    world = _make_world(open_room_rows(25, 25, exits=[(0, 12)]))
+    state = make_state(open_room_rows(25, 25, exits=[(0, 12)]))
     agent = make_agent(0, (12, 12), v_max=3, k_i=5.0)
     agent.chosen_exit = 0
     agent.last_disp = (3, 0)  # one forced eastward round at full speed
-    dist = agent_distribution(agent, world)
+    dist = agent_distribution(agent, state)
     backward = 0.0
     for (x, y), p in zip(dist.cells, dist.probs):
         off = (int(x) - 12, int(y) - 12)

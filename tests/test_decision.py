@@ -12,7 +12,6 @@ from evacsim import decision
 from evacsim.decision import (
     Agent,
     SimulationError,
-    WorldView,
     choose_destination,
     choose_exit,
     crowd_counts,
@@ -21,20 +20,18 @@ from evacsim.decision import (
     softmax_from_log,
 )
 from evacsim.dynamic_field import DynamicField
-from evacsim.scenario import Grid, neighborhood
-from evacsim.static_field import compute_wall_distance
+from evacsim.scenario import neighborhood
 
 from helpers import (
     agent_distribution,
     exit_weight,
-    field_stack,
-    kind_from_rows,
     logw_dynamic,
     logw_inertia,
     logw_polite,
     logw_static,
     logw_total,
     logw_wall,
+    make_state,
     open_room_rows,
 )
 
@@ -49,31 +46,15 @@ def make_agent(pos, *, v_max=1, k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0,
     )
 
 
-def make_world(rows, *, w_max=3.0, others=()) -> WorldView:
-    grid = Grid.from_kind(kind_from_rows(rows))
-    occupancy = np.zeros((grid.height, grid.width), dtype=bool)
-    for x, y in others:
-        occupancy[y, x] = True
-    return WorldView(
-        grid=grid,
-        exit_dist=field_stack(grid),
-        wall_field=compute_wall_distance(grid, w_max),
-        dyn_field=DynamicField(grid),
-        counts=crowd_counts(occupancy),
-        occupancy=occupancy,
-        w_max=w_max,
-    )
-
-
 # ---------------------------------------------------------------- exit choice
 
 TWO_EXIT_ROWS = ["WWWWWWWWW", "WE.....EW", "WWWWWWWWW"]  # S=2 left, S=4 right from (3,1)
 
 
 def test_exit_weights_two_exits():
-    world = make_world(TWO_EXIT_ROWS)
+    state = make_state(TWO_EXIT_ROWS)
     a = make_agent((3, 1), exits=(0, 1))
-    w = exit_weights([a], world.exit_dist)[0]
+    w = exit_weights([a], state.exit_dist)[0]
     assert len(w) == 2
     probs = w / w.sum()
     assert math.isclose(probs[0], 0.8, abs_tol=1e-12)
@@ -81,31 +62,31 @@ def test_exit_weights_two_exits():
 
 
 def test_exit_weights_with_persistence_on_far_exit():
-    world = make_world(TWO_EXIT_ROWS)
+    state = make_state(TWO_EXIT_ROWS)
     a = make_agent((3, 1), k_e=1.0, exits=(0, 1))
     a.chosen_exit = 1
-    w = exit_weights([a], world.exit_dist)[0]
+    w = exit_weights([a], state.exit_dist)[0]
     probs = w / w.sum()
     assert math.isclose(probs[0], 2 / 3, abs_tol=1e-12)
     assert math.isclose(probs[1], 1 / 3, abs_tol=1e-12)
 
 
 def test_single_allowed_exit_is_certain():
-    world = make_world(TWO_EXIT_ROWS)
+    state = make_state(TWO_EXIT_ROWS)
     a = make_agent((3, 1), exits=(1,))
     rng = np.random.default_rng(5)
     for _ in range(20):
         a.chosen_exit = None
-        assert choose_exit([a], world.exit_dist, rng.random(1))[0] == 1
+        assert choose_exit([a], state.exit_dist, rng.random(1))[0] == 1
         assert a.chosen_exit == 1
 
 
 def test_exit_distance_clamped_at_one_cell():
     # standing right on the exit: S=0 must act like S=1, not divide by zero
     rows = ["WWWW", "WE.W", "WWWW"]
-    world = make_world(rows)
+    state = make_state(rows)
     a = make_agent((1, 1))
-    w = exit_weights([a], world.exit_dist)[0]
+    w = exit_weights([a], state.exit_dist)[0]
     assert w[0] == 1.0
 
 
@@ -115,9 +96,9 @@ def test_unreachable_exit_gets_zero_weight():
         "WE.W.EW",
         "WWWWWWW",
     ]
-    world = make_world(rows)
+    state = make_state(rows)
     a = make_agent((2, 1), exits=(0, 1))
-    w = exit_weights([a], world.exit_dist)[0]
+    w = exit_weights([a], state.exit_dist)[0]
     assert w[1] == 0.0
     assert w[0] > 0.0
 
@@ -128,21 +109,19 @@ def test_all_exits_unreachable_raises():
         "W..W.EW",
         "WWWWWWW",
     ]
-    world = make_world(rows)
+    state = make_state(rows)
     a = make_agent((1, 1), exits=(0,))
     with pytest.raises(SimulationError):
-        choose_exit([a], world.exit_dist, np.random.default_rng(0).random(1))
+        choose_exit([a], state.exit_dist, np.random.default_rng(0).random(1))
 
 
 def test_choose_exit_frequencies():
-    world = make_world(TWO_EXIT_ROWS)
+    state = make_state(TWO_EXIT_ROWS)
     a = make_agent((3, 1), exits=(0, 1))
     rng = np.random.default_rng(42)
     n = 20_000
-    hits = 0
-    for _ in range(n):
-        a.chosen_exit = None
-        hits += choose_exit([a], world.exit_dist, rng.random(1))[0] == 0
+    chosen = choose_exit([a] * n, state.exit_dist, rng.random(n))
+    hits = np.count_nonzero(chosen == 0)
     # binomial 5 sigma around 0.8
     assert abs(hits / n - 0.8) < 5 * math.sqrt(0.8 * 0.2 / n)
 
@@ -175,17 +154,17 @@ def test_crowd_counts_full_block():
 # ---------------------------------------------------------------- candidates
 
 def test_candidate_cells_open_v2():
-    world = make_world(open_room_rows(11, 11, exits=[(0, 5)]))
+    state = make_state(open_room_rows(11, 11, exits=[(0, 5)]))
     a = make_agent((5, 5), v_max=2)
     a.chosen_exit = 0
-    assert len(agent_distribution(a, world).cells) == 13
+    assert len(agent_distribution(a, state).cells) == 13
 
 
 def test_candidate_cells_excludes_other_agents_but_not_self():
-    world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=[(5, 5), (6, 5)])
+    state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=[(5, 5), (6, 5)])
     a = make_agent((5, 5), v_max=2)
     a.chosen_exit = 0
-    cells = {(int(x), int(y)) for x, y in agent_distribution(a, world).cells}
+    cells = {(int(x), int(y)) for x, y in agent_distribution(a, state).cells}
     assert (5, 5) in cells
     assert (6, 5) not in cells
     assert len(cells) == 12
@@ -194,35 +173,35 @@ def test_candidate_cells_excludes_other_agents_but_not_self():
 def test_boxed_in_agent_keeps_own_cell():
     others = [(4, 4), (5, 4), (6, 4), (4, 5), (6, 5), (4, 6), (5, 6), (6, 6),
               (3, 5), (7, 5), (5, 3), (5, 7)]
-    world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
+    state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
     a = make_agent((5, 5), v_max=2)
     a.chosen_exit = 0
-    cells = {(int(x), int(y)) for x, y in agent_distribution(a, world).cells}
+    cells = {(int(x), int(y)) for x, y in agent_distribution(a, state).cells}
     assert cells == {(5, 5)}
 
 
 # ---------------------------------------------------------------- log weights
 
 def test_logw_static_values():
-    world = make_world(["WWWWW", "WE..W", "WWWWW"])
-    sf = world.exit_dist[0]
+    state = make_state(["WWWWW", "WE..W", "WWWWW"])
+    sf = state.exit_dist[0]
     assert logw_static(make_agent((2, 1), k_s=0.0), (3, 1), sf) == 0.0
     assert math.isclose(logw_static(make_agent((2, 1), k_s=1.0), (3, 1), sf), -2.0, abs_tol=1e-12)
     # k_S=0.5 at distance 4
-    world2 = make_world(["WWWWWWW", "WE....W", "WWWWWWW"])
-    sf2 = world2.exit_dist[0]
+    state2 = make_state(["WWWWWWW", "WE....W", "WWWWWWW"])
+    sf2 = state2.exit_dist[0]
     assert math.isclose(logw_static(make_agent((2, 1), k_s=0.5), (5, 1), sf2), -2.0, abs_tol=1e-12)
 
 
 def test_logw_dynamic_values():
-    world = make_world(open_room_rows(9, 9, exits=[(0, 4)]))
+    state = make_state(open_room_rows(9, 9, exits=[(0, 4)]))
     a = make_agent((4, 4), k_d=0.3)
-    assert logw_dynamic(a, (5, 4), world.dyn_field) == 0.0  # zero field
-    world.dyn_field.record_moves([((5, 4), (7, 3))])  # field at (5,4) becomes (2,-1)
-    assert math.isclose(logw_dynamic(a, (5, 4), world.dyn_field), 0.6, abs_tol=1e-12)
+    assert logw_dynamic(a, (5, 4), state.dyn_field) == 0.0  # zero field
+    state.dyn_field.record_moves([((5, 4), (7, 3))])  # field at (5,4) becomes (2,-1)
+    assert math.isclose(logw_dynamic(a, (5, 4), state.dyn_field), 0.6, abs_tol=1e-12)
     # stepping against a rightward trace of strength 2 is suppressed by -2
     a2 = make_agent((4, 4), k_d=1.0)
-    f = DynamicField(world.grid)
+    f = DynamicField(state.grid)
     f.record_moves([((3, 4), (5, 4))])
     assert math.isclose(logw_dynamic(a2, (3, 4), f), -2.0, abs_tol=1e-12)
 
@@ -256,8 +235,8 @@ def test_logw_inertia_reflection_symmetry():
 
 
 def test_logw_wall_values():
-    world = make_world(open_room_rows(13, 13, exits=[(0, 6)]), w_max=3.0)
-    wf = world.wall_field
+    state = make_state(open_room_rows(13, 13, exits=[(0, 6)]), w_max=3.0)
+    wf = state.wall_dist
     center = (6, 6)  # clamped at w_max
     assert logw_wall(center, wf, 1.0, 3.0) == 0.0
     hugging = (1, 2)  # wall right next door, W=1
@@ -286,10 +265,10 @@ def test_softmax_shift_invariance():
 
 def test_two_candidate_distribution_is_two_thirds_one_third():
     # dead-end corridor: only the agent's cell (S=2) and the cell ahead (S=1)
-    world = make_world(["WWWWW", "WE..W", "WWWWW"])
+    state = make_state(["WWWWW", "WE..W", "WWWWW"])
     a = make_agent((3, 1), v_max=1, k_s=LN2)
     a.chosen_exit = 0
-    dist = agent_distribution(a, world)
+    dist = agent_distribution(a, state)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert set(by_cell) == {(2, 1), (3, 1)}
     assert math.isclose(by_cell[(2, 1)], 2 / 3, abs_tol=1e-12)
@@ -299,13 +278,13 @@ def test_two_candidate_distribution_is_two_thirds_one_third():
 def test_single_candidate_probability_one():
     others = [(4, 4), (5, 4), (6, 4), (4, 5), (6, 5), (4, 6), (5, 6), (6, 6),
               (3, 5), (7, 5), (5, 3), (5, 7)]
-    world = make_world(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
+    state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
     a = make_agent((5, 5), v_max=2)
     a.chosen_exit = 0
-    dist = agent_distribution(a, world)
+    dist = agent_distribution(a, state)
     assert len(dist.probs) == 1
     assert dist.probs[0] == 1.0
-    assert choose_destination([a], world, np.random.default_rng(0).random(1))[0] == (5, 5)
+    assert choose_destination([a], state, np.random.default_rng(0).random(1))[0] == (5, 5)
 
 
 def test_unreachable_candidates_get_zero_probability():
@@ -316,10 +295,10 @@ def test_unreachable_candidates_get_zero_probability():
         "W...W",
         "WWWWW",
     ]
-    world = make_world(rows)
+    state = make_state(rows)
     a = make_agent((2, 1), v_max=2)
     a.chosen_exit = 0
-    dist = agent_distribution(a, world)
+    dist = agent_distribution(a, state)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert (2, 3) in by_cell  # inside the disc, but sealed off the exit
     assert by_cell[(2, 3)] == 0.0
@@ -328,11 +307,11 @@ def test_unreachable_candidates_get_zero_probability():
 
 def test_normalization_on_random_worlds():
     rng = np.random.default_rng(2024)
-    world = make_world(open_room_rows(15, 15, exits=[(0, 7)]))
+    state = make_state(open_room_rows(15, 15, exits=[(0, 7)]))
     for trial in range(300):
         # extreme couplings and a loud trace field must not break normalization
-        world.dyn_field.dx[:] = rng.integers(-1000, 1001, world.dyn_field.dx.shape)
-        world.dyn_field.dy[:] = rng.integers(-1000, 1001, world.dyn_field.dy.shape)
+        state.dyn_field.dx[:] = rng.integers(-1000, 1001, state.dyn_field.dx.shape)
+        state.dyn_field.dy[:] = rng.integers(-1000, 1001, state.dyn_field.dy.shape)
         a = make_agent(
             (int(rng.integers(2, 13)), int(rng.integers(2, 13))),
             v_max=int(rng.integers(1, 5)),
@@ -344,17 +323,17 @@ def test_normalization_on_random_worlds():
         )
         a.chosen_exit = 0
         a.last_disp = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        dist = agent_distribution(a, world)
+        dist = agent_distribution(a, state)
         assert (dist.probs >= 0).all()
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
 
 def test_static_monotonicity():
-    world = make_world(open_room_rows(13, 13, exits=[(0, 6)]))
+    state = make_state(open_room_rows(13, 13, exits=[(0, 6)]))
     a = make_agent((6, 6), v_max=2, k_s=0.8)
     a.chosen_exit = 0
-    dist = agent_distribution(a, world)
-    sf = world.exit_dist[0]
+    dist = agent_distribution(a, state)
+    sf = state.exit_dist[0]
     pairs = [
         (sf[int(y), int(x)], p) for (x, y), p in zip(dist.cells, dist.probs)
     ]
@@ -365,17 +344,16 @@ def test_static_monotonicity():
 
 
 def test_zero_coupling_uniformity_chi_square():
-    world = make_world(open_room_rows(17, 17, exits=[(0, 8)]))
+    state = make_state(open_room_rows(17, 17, exits=[(0, 8)]))
     a = make_agent((8, 8), v_max=2)
     a.chosen_exit = 0
-    dist = agent_distribution(a, world)
+    dist = agent_distribution(a, state)
     assert len(dist.probs) == 13
     assert np.allclose(dist.probs, 1 / 13, atol=1e-15)
     rng = np.random.default_rng(777)
     n = 20_000
     tally: dict[tuple[int, int], int] = {}
-    for _ in range(n):
-        c = choose_destination([a], world, rng.random(1))[0]
+    for c in choose_destination([a] * n, state, rng.random(n)):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -384,22 +362,22 @@ def test_zero_coupling_uniformity_chi_square():
 
 def test_scalar_and_vector_paths_agree():
     rows = open_room_rows(13, 13, exits=[(0, 6)])
-    world = make_world(rows, others=[(7, 7), (5, 6)])
-    world.dyn_field.record_moves([((6, 5), (8, 5))] * 3 + [((5, 5), (5, 7))])
+    state = make_state(rows, others=[(7, 7), (5, 6)])
+    state.dyn_field.record_moves([((6, 5), (8, 5))] * 3 + [((5, 5), (5, 7))])
     a = make_agent((6, 6), v_max=3, k_s=0.7, k_d=0.25, k_i=0.9, k_w=1.1, k_p=0.4)
     a.chosen_exit = 0
     a.last_disp = (1, -2)
-    dist = agent_distribution(a, world)
-    sf = world.exit_dist[0]
+    dist = agent_distribution(a, state)
+    sf = state.exit_dist[0]
     logs = []
     for x, y in dist.cells:
         cell = (int(x), int(y))
         logs.append(
             logw_static(a, cell, sf)
-            + logw_dynamic(a, cell, world.dyn_field)
+            + logw_dynamic(a, cell, state.dyn_field)
             + logw_inertia(a, cell)
-            + logw_wall(cell, world.wall_field, a.k_w, world.w_max)
-            + logw_polite(cell, world.counts, a.k_p)
+            + logw_wall(cell, state.wall_dist, a.k_w, state.config.w_max)
+            + logw_polite(cell, state.counts, a.k_p)
         )
     expected = softmax_from_log(np.array(logs))
     assert np.allclose(dist.probs, expected, rtol=0, atol=1e-12)
@@ -434,7 +412,7 @@ KERNEL_AGENTS = [
 ]
 
 
-def make_kernel_world():
+def make_kernel_state():
     rng = np.random.default_rng(31)
     agents = []
     for i, (pos, v_max, (k_s, k_d, k_i, k_w, k_p, k_e), exits, last_exit, last_disp) in enumerate(KERNEL_AGENTS):
@@ -443,20 +421,20 @@ def make_kernel_world():
         a.chosen_exit = last_exit
         a.last_disp = last_disp
         agents.append(a)
-    world = make_world(KERNEL_ROWS, w_max=2.5, others=[a.pos for a in agents])
-    world.dyn_field.dx[:] = rng.integers(-4, 5, world.dyn_field.dx.shape)
-    world.dyn_field.dy[:] = rng.integers(-4, 5, world.dyn_field.dy.shape)
-    return agents, world
+    state = make_state(KERNEL_ROWS, w_max=2.5, others=[a.pos for a in agents])
+    state.dyn_field.dx[:] = rng.integers(-4, 5, state.dyn_field.dx.shape)
+    state.dyn_field.dy[:] = rng.integers(-4, 5, state.dyn_field.dy.shape)
+    return agents, state
 
 
 def test_exit_kernel_rows_match_oracle():
-    agents, world = make_kernel_world()
-    w = exit_weights(agents, world.exit_dist)
-    assert w.shape == (len(agents), world.grid.n_exits)
+    agents, state = make_kernel_state()
+    w = exit_weights(agents, state.exit_dist)
+    assert w.shape == (len(agents), state.grid.n_exits)
     for row, a in zip(w, agents):
-        for e in range(world.grid.n_exits):
-            assert math.isclose(row[e], exit_weight(a, e, world.exit_dist[e]), rel_tol=0, abs_tol=1e-12)
-    chosen = choose_exit(agents, world.exit_dist, np.random.default_rng(8).random(len(agents)))
+        for e in range(state.grid.n_exits):
+            assert math.isclose(row[e], exit_weight(a, e, state.exit_dist[e]), rel_tol=0, abs_tol=1e-12)
+    chosen = choose_exit(agents, state.exit_dist, np.random.default_rng(8).random(len(agents)))
     for a, e in zip(agents, chosen):
         assert a.chosen_exit == e and e in a.allowed_exits
 
@@ -464,23 +442,23 @@ def test_exit_kernel_rows_match_oracle():
 @pytest.mark.parametrize("block_rows", [2, decision.BLOCK_ROWS])
 def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
     monkeypatch.setattr(decision, "BLOCK_ROWS", block_rows)
-    agents, world = make_kernel_world()
-    choose_exit(agents, world.exit_dist, np.random.default_rng(9).random(len(agents)))
+    agents, state = make_kernel_state()
+    choose_exit(agents, state.exit_dist, np.random.default_rng(9).random(len(agents)))
     held = {a.pos for a in agents}
     seen = []
-    for block in destination_distribution(agents, world):
+    for block in destination_distribution(agents, state):
         assert len(block.rows) <= block_rows
         for i, r in enumerate(block.rows):
             a = agents[r]
             seen.append(int(r))
             cand = block.candidate[i]
             cells = [(int(x), int(y)) for x, y in block.cells[i]]
-            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.v_max, world.grid)}
+            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.v_max, state.grid)}
             expected -= held - {a.pos}
             assert {c for c, ok in zip(cells, cand) if ok} == expected
             assert np.isneginf(block.logw[i][~cand]).all()
             for c, ok, lw in zip(cells, cand, block.logw[i]):
                 if ok:
-                    assert math.isclose(lw, logw_total(a, c, world), rel_tol=0, abs_tol=1e-12)
+                    assert math.isclose(lw, logw_total(a, c, state), rel_tol=0, abs_tol=1e-12)
             assert abs(block.probs[i].sum() - 1.0) <= 1e-12
     assert sorted(seen) == list(range(len(agents)))

@@ -28,16 +28,16 @@ def walled_grid(side: int) -> Grid:
 def test_record_single_move():
     f = DynamicField(open_grid(6))
     f.record_moves([((2, 2), (4, 3))])
-    assert f.field_at((2, 2)) == (2, 1)
-    assert f.field_at((4, 3)) == (0, 0)
+    assert (f.dx[2, 2], f.dy[2, 2]) == (2, 1)
+    assert (f.dx[3, 4], f.dy[3, 4]) == (0, 0)
 
 
 def test_record_crossing_moves_are_additive():
     f = DynamicField(open_grid(6))
     f.record_moves([((1, 1), (2, 1)), ((3, 1), (2, 1))])
-    assert f.field_at((1, 1)) == (1, 0)
-    assert f.field_at((3, 1)) == (-1, 0)
-    assert f.field_at((2, 1)) == (0, 0)
+    assert (f.dx[1, 1], f.dy[1, 1]) == (1, 0)
+    assert (f.dx[1, 3], f.dy[1, 3]) == (-1, 0)
+    assert (f.dx[1, 2], f.dy[1, 2]) == (0, 0)
 
 
 def test_record_empty_moves_is_noop():
@@ -48,7 +48,7 @@ def test_record_empty_moves_is_noop():
 
 def test_fresh_field_reads_zero():
     f = DynamicField(open_grid(4))
-    assert f.field_at((2, 2)) == (0, 0)
+    assert (f.dx[2, 2], f.dy[2, 2]) == (0, 0)
 
 
 def test_full_decay_clears_field():
@@ -110,7 +110,7 @@ def test_walls_absorb_all_quanta_when_fully_enclosed():
     g = Grid.from_kind(kind)
     f = DynamicField(g)
     f.record_moves([((1, 1), (1, 0))] * 50)
-    assert f.field_at((1, 1)) == (0, -50)
+    assert (f.dx[1, 1], f.dy[1, 1]) == (0, -50)
     f.decay_and_diffuse(0.0, 1.0, np.random.default_rng(0))
     assert not f.dx.any() and not f.dy.any()
 
@@ -152,11 +152,3 @@ def test_mean_survival_matches_expectation_within_5_sigma():
     sigma = math.sqrt(n * delta * (1 - delta) / trials)
     assert abs(mean - n * (1 - delta)) <= 5 * sigma
 
-
-def test_pgm_pair_shapes():
-    f = DynamicField(open_grid(5))
-    f.record_moves([((2, 2), (4, 3))])
-    for text in f.to_pgm_pair():
-        lines = text.strip().splitlines()
-        assert lines[0] == "P2"
-        assert lines[1] == "5 5"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import pathlib
 
@@ -25,7 +26,8 @@ from evacsim.scenario import SimConfig, parse_scenario
 
 from helpers import open_room_rows, rows_to_text
 
-SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def load(name: str):
@@ -271,3 +273,23 @@ def test_golden_digest(name, seed):
     h.update(np.asarray(result.trajectory, dtype=np.int64).tobytes())
     h.update(np.asarray(result.step_log, dtype=np.int64).tobytes())
     assert h.hexdigest() == GOLDEN_DIGESTS[(name, seed)]
+
+
+def test_benchmark_layer_trace_wraps_engine_names():
+    """The benchmark's per-layer trace patches `engine`'s module-level names;
+    a rename or a new signature would break `perfbench/run.py --trace 1`."""
+    module_spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(layertrace)
+    spec = load("room")
+    names = dict(vars(engine))
+    with layertrace.installed(layertrace.LayerTrace()) as trace:
+        result = engine.run_simulation(spec, SimConfig(seed=0))
+    assert dict(vars(engine)) == names
+    rounds = len(result.alive_counts) - 1
+    assert rounds > 0
+    counts = trace.counts
+    assert counts["static_field.calls"] == spec.grid.n_exits + 1
+    assert counts["decision.calls"] == 2 * rounds
+    assert counts["engine.streams"] == 4 * rounds
+    assert 0 < counts["movement.steps"] <= counts["movement.tokens"]

@@ -15,7 +15,6 @@ from evacsim.scenario import (
     SimConfig,
     Spawn,
     disc_offsets,
-    moore_neighbors,
     moore_steps,
     neighborhood,
     parse_scenario,
@@ -208,13 +207,6 @@ def test_sim_config_validation():
 
 
 # ---------------------------------------------------------------- neighborhoods
-
-def test_moore_neighbors_counts():
-    g = open_grid(5, 5)
-    assert len(moore_neighbors((2, 2), g)) == 8
-    assert len(moore_neighbors((0, 0), g)) == 3
-    assert len(moore_neighbors((2, 0), g)) == 5
-
 
 def test_neighborhood_disc_sizes():
     g = open_grid(21, 21, exits=((1, 0),))

@@ -11,8 +11,6 @@ from evacsim.static_field import (
     UNREACHABLE,
     compute_static_field,
     compute_wall_distance,
-    distance_at,
-    field_to_pgm,
 )
 
 from helpers import kind_from_rows, random_kind, relaxation_distances
@@ -26,17 +24,22 @@ def grid_from_rows(rows: list[str]) -> Grid:
 
 def test_open_3x3_distances():
     g = grid_from_rows(["E..", "...", "..."])
-    f = compute_static_field(g, 0)
-    assert f.dist[0, 0] == 0.0
-    assert math.isclose(f.dist[2, 2], 2 * SQRT2, rel_tol=0, abs_tol=1e-12)
-    assert math.isclose(f.dist[0, 2], 2.0, rel_tol=0, abs_tol=1e-12)
+    dist = compute_static_field(g, 0)
+    assert dist[0, 0] == 0.0
+    assert math.isclose(dist[2, 2], 2 * SQRT2, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(dist[0, 2], 2.0, rel_tol=0, abs_tol=1e-12)
+
+
+def test_fields_are_read_only():
+    g = grid_from_rows(["E..", ".W.", "..."])
+    assert not compute_static_field(g, 0).flags.writeable
+    assert not compute_wall_distance(g, 3.0).flags.writeable
 
 
 def test_walls_are_unreachable_sentinel():
     g = grid_from_rows(["E..", ".W.", "..."])
-    f = compute_static_field(g, 0)
-    assert f.dist[1, 1] == UNREACHABLE
-    assert distance_at(f, (1, 1)) == UNREACHABLE
+    dist = compute_static_field(g, 0)
+    assert dist[1, 1] == UNREACHABLE
 
 
 def test_sealed_region_is_unreachable():
@@ -48,16 +51,16 @@ def test_sealed_region_is_unreachable():
             ".....",
         ]
     )
-    f = compute_static_field(g, 0)
-    assert f.dist[1, 2] == UNREACHABLE  # the pocket
-    assert np.isfinite(f.dist[3, 4])
+    dist = compute_static_field(g, 0)
+    assert dist[1, 2] == UNREACHABLE  # the pocket
+    assert np.isfinite(dist[3, 4])
 
 
 def test_multi_cell_exit_group_all_zero():
     g = grid_from_rows(["EE.", "...", "..."])
-    f = compute_static_field(g, 0)
-    assert f.dist[0, 0] == 0.0 and f.dist[0, 1] == 0.0
-    assert math.isclose(f.dist[0, 2], 1.0, abs_tol=1e-12)
+    dist = compute_static_field(g, 0)
+    assert dist[0, 0] == 0.0 and dist[0, 1] == 0.0
+    assert math.isclose(dist[0, 2], 1.0, abs_tol=1e-12)
 
 
 # frozen from an independent bounded-path-length relaxation oracle:
@@ -83,16 +86,16 @@ DETOUR_SPOTS = {
 
 def test_detour_matches_frozen_oracle_spots():
     g = grid_from_rows(DETOUR_ROWS)
-    f = compute_static_field(g, 0)
+    dist = compute_static_field(g, 0)
     for (x, y), expected in DETOUR_SPOTS.items():
-        assert math.isclose(f.dist[y, x], expected, rel_tol=0, abs_tol=1e-9), (x, y)
+        assert math.isclose(dist[y, x], expected, rel_tol=0, abs_tol=1e-9), (x, y)
 
 
 def test_detour_matches_relaxation_oracle_everywhere():
     g = grid_from_rows(DETOUR_ROWS)
-    f = compute_static_field(g, 0)
+    dist = compute_static_field(g, 0)
     oracle = relaxation_distances(g.kind, [(0, 3)])
-    assert np.allclose(f.dist, oracle, rtol=0, atol=1e-9, equal_nan=False)
+    assert np.allclose(dist, oracle, rtol=0, atol=1e-9, equal_nan=False)
 
 
 def test_matches_relaxation_oracle_on_random_grids():
@@ -101,23 +104,23 @@ def test_matches_relaxation_oracle_on_random_grids():
         kind = random_kind(rng)
         g = Grid.from_kind(kind)
         for eid in range(g.n_exits):
-            f = compute_static_field(g, eid)
+            dist = compute_static_field(g, eid)
             sources = [(int(x), int(y)) for y, x in np.argwhere(g.exit_id == eid)]
             oracle = relaxation_distances(kind, sources)
             finite = np.isfinite(oracle)
-            assert np.array_equal(finite, np.isfinite(f.dist))
-            assert np.allclose(f.dist[finite], oracle[finite], rtol=0, atol=1e-9)
+            assert np.array_equal(finite, np.isfinite(dist))
+            assert np.allclose(dist[finite], oracle[finite], rtol=0, atol=1e-9)
 
 
 def test_relaxation_fixpoint_invariant():
     g = grid_from_rows(DETOUR_ROWS)
-    f = compute_static_field(g, 0)
+    dist = compute_static_field(g, 0)
     for y in range(g.height):
         for x in range(g.width):
-            d = f.dist[y, x]
+            d = dist[y, x]
             if not np.isfinite(d) or d == 0.0:
                 continue
-            best = min(f.dist[ny, nx] + cost for nx, ny, cost in moore_steps(g, x, y))
+            best = min(dist[ny, nx] + cost for nx, ny, cost in moore_steps(g, x, y))
             assert math.isclose(d, best, rel_tol=0, abs_tol=1e-9)
 
 
@@ -125,14 +128,14 @@ def test_triangle_consistency_over_permitted_steps():
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = Grid.from_kind(random_kind(rng))
-        f = compute_static_field(g, 0)
+        dist = compute_static_field(g, 0)
         for y in range(g.height):
             for x in range(g.width):
-                if not np.isfinite(f.dist[y, x]):
+                if not np.isfinite(dist[y, x]):
                     continue
                 for nx, ny, _ in moore_steps(g, x, y):
-                    if np.isfinite(f.dist[ny, nx]):
-                        assert abs(f.dist[y, x] - f.dist[ny, nx]) <= SQRT2 + 1e-9
+                    if np.isfinite(dist[ny, nx]):
+                        assert abs(dist[y, x] - dist[ny, nx]) <= SQRT2 + 1e-9
 
 
 # ------------------------------------------------------------ wall distance
@@ -147,10 +150,10 @@ def test_wall_distance_adjacency_values():
             "WEWWWWW",
         ]
     )
-    wf = compute_wall_distance(g, 3.0)
-    assert wf.wdist[0, 0] == 0.0
+    wdist = compute_wall_distance(g, 3.0)
+    assert wdist[0, 0] == 0.0
     # (1,1) is orthogonally adjacent to walls at (0,1) and (1,0)
-    assert math.isclose(wf.wdist[1, 1], 1.0, abs_tol=1e-12)
+    assert math.isclose(wdist[1, 1], 1.0, abs_tol=1e-12)
 
 
 def test_wall_distance_orthogonal_and_diagonal():
@@ -160,44 +163,33 @@ def test_wall_distance_orthogonal_and_diagonal():
     kind[4, 4] = WALL
     kind[0, 0] = EXIT
     g = Grid.from_kind(kind)
-    wf = compute_wall_distance(g, 10.0)
-    assert math.isclose(wf.wdist[4, 5], 1.0, abs_tol=1e-12)
-    assert math.isclose(wf.wdist[5, 5], SQRT2, abs_tol=1e-12)
+    wdist = compute_wall_distance(g, 10.0)
+    assert math.isclose(wdist[4, 5], 1.0, abs_tol=1e-12)
+    assert math.isclose(wdist[5, 5], SQRT2, abs_tol=1e-12)
 
 
 def test_wall_distance_clamped_at_cutoff():
     g = grid_from_rows(["W" * 13] + ["W" + "." * 11 + "W"] * 11 + ["WE" + "W" * 11])
-    wf = compute_wall_distance(g, 3.0)
-    assert wf.wdist[6, 6] == 3.0
-    assert wf.wdist.max() <= 3.0
+    wdist = compute_wall_distance(g, 3.0)
+    assert wdist[6, 6] == 3.0
+    assert wdist.max() <= 3.0
 
 
 def test_exit_cells_are_not_wall_sources():
     g = grid_from_rows(["WWWWW", "W...E", "WWWWW"])
-    wf = compute_wall_distance(g, 5.0)
+    wdist = compute_wall_distance(g, 5.0)
     # (3,1) touches the exit but its nearest wall is at distance 1 (above/below)
-    assert math.isclose(wf.wdist[1, 3], 1.0, abs_tol=1e-12)
-    assert wf.wdist[1, 4] > 0.0  # the exit cell itself is not a source
+    assert math.isclose(wdist[1, 3], 1.0, abs_tol=1e-12)
+    assert wdist[1, 4] > 0.0  # the exit cell itself is not a source
 
 
 def test_uncapped_wall_distance_agrees_below_cutoff():
     rng = np.random.default_rng(99)
     for _ in range(5):
         g = Grid.from_kind(random_kind(rng))
-        capped = compute_wall_distance(g, 3.0).wdist
-        free = compute_wall_distance(g, math.inf).wdist
+        capped = compute_wall_distance(g, 3.0)
+        free = compute_wall_distance(g, math.inf)
         below = free < 3.0
         assert np.allclose(capped[below], free[below], rtol=0, atol=1e-12)
         assert (capped[~below] == 3.0).all()
 
-
-def test_field_pgm_dump_shape():
-    g = grid_from_rows(["E..", "...", "..."])
-    text = field_to_pgm(compute_static_field(g, 0))
-    lines = text.strip().splitlines()
-    assert lines[0] == "P2"
-    assert lines[1] == "3 3"
-    assert lines[2] == "65535"
-    values = [int(v) for line in lines[3:] for v in line.split()]
-    assert len(values) == 9
-    assert max(values) <= 65535 and min(values) >= 0
