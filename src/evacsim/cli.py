@@ -226,3 +226,7 @@ def _parse_emit(raw: str) -> set[str]:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

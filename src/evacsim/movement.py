@@ -3,12 +3,13 @@
 Each agent owes one movement token per Chebyshev step between its position
 and its destination. Tokens from all agents are shuffled into one sequence
 and consumed in order; every executed step moves one agent to the permitted
-neighbor cell nearest (Euclidean) to its destination. A step never leaves the
-disc around the agent's round-start cell whose radius is the destination's
-distance, so a detour around blocked cells cannot carry the net move past the
-speed disc the destination was drawn from. A cell occupied at any moment of a
-round stays blocked until the round ends, so agents consume the space along
-their paths, not just their endpoints.
+neighbor cell (a set bit of `Grid.steps`, tried in `MOORE_OFFSETS` order)
+nearest (Euclidean) to its destination. A step never leaves the disc around
+the agent's round-start cell whose radius is the destination's distance, so
+a detour around blocked cells cannot carry the net move past the speed disc
+the destination was drawn from. A cell occupied at any moment of a round
+stays blocked until the round ends, so agents consume the space along their
+paths, not just their endpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decision import Agent, SimulationError
-from .scenario import Grid, moore_steps
+from .scenario import MOORE_OFFSETS, Grid
+
+# _STEP_OFFSETS[b]: the offsets whose bits are set in step-table byte b, in MOORE_OFFSETS order
+_STEP_OFFSETS = tuple(tuple(o for k, o in enumerate(MOORE_OFFSETS) if b >> k & 1) for b in range(256))
 
 
 def chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -74,7 +78,9 @@ def execute_step(
     here = dx0 * dx0 + dy0 * dy0
     best = here
     best_cells: list[tuple[int, int]] = []
-    for nx, ny, _cost in moore_steps(grid, pos[0], pos[1]):
+    x, y = pos
+    for ox, oy in _STEP_OFFSETS[int(grid.steps[y, x])]:
+        nx, ny = x + ox, y + oy
         if blocked[ny, nx]:
             continue
         ddx = nx - dest[0]

@@ -18,9 +18,8 @@ WALL, FLOOR, EXIT = 0, 1, 2
 _CHAR_KIND = {"W": WALL, ".": FLOOR, "E": EXIT, "a": FLOOR}
 KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
 
-SQRT2 = math.sqrt(2.0)
-
-_MOORE_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+# (dx, dy) of the eight king moves; bit k of Grid.steps stands for MOORE_OFFSETS[k]
+MOORE_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
 
 class ParseError(ValueError):
@@ -45,11 +44,17 @@ class Grid:
     ``kind`` holds WALL/FLOOR/EXIT codes, ``exit_id`` the exit-group index for
     EXIT cells and -1 elsewhere. Exit groups are Moore-connected components of
     exit cells, numbered in row-major scan order of their first cell.
+
+    ``steps`` holds the step rule once: bit k of a cell is set when the step
+    by ``MOORE_OFFSETS[k]`` lands on an in-grid non-wall cell and, for a
+    diagonal, its two corner cells are not both walls. Wall cells carry bits
+    too. The distance fields and the movement phase read this table.
     """
 
     kind: np.ndarray
     exit_id: np.ndarray
     n_exits: int
+    steps: np.ndarray
 
     @property
     def width(self) -> int:
@@ -76,32 +81,44 @@ class Grid:
     def from_kind(cls, kind: np.ndarray) -> "Grid":
         kind = np.ascontiguousarray(kind, dtype=np.int8)
         exit_id, n_exits = _label_exit_groups(kind)
-        kind.setflags(write=False)
-        exit_id.setflags(write=False)
-        return cls(kind=kind, exit_id=exit_id, n_exits=n_exits)
+        steps = _step_table(kind)
+        for arr in (kind, exit_id, steps):
+            arr.setflags(write=False)
+        return cls(kind=kind, exit_id=exit_id, n_exits=n_exits, steps=steps)
+
+
+def _step_table(kind: np.ndarray) -> np.ndarray:
+    """(H, W) uint8 of permitted-step bits, from a wall mask padded with walls."""
+    h, w = kind.shape
+    wall = np.pad(kind == WALL, 1, constant_values=True)
+    steps = np.zeros((h, w), dtype=np.uint8)
+    for k, (dx, dy) in enumerate(MOORE_OFFSETS):
+        blocked = wall[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        if dx and dy:  # a diagonal is closed when both corner cells are walls
+            blocked = blocked | (wall[1 : 1 + h, 1 + dx : 1 + dx + w] & wall[1 + dy : 1 + dy + h, 1 : 1 + w])
+        steps[~blocked] |= 1 << k
+    return steps
 
 
 def _label_exit_groups(kind: np.ndarray) -> tuple[np.ndarray, int]:
     """Label Moore-connected components of exit cells in scan order."""
-    h, w = kind.shape
-    exit_id = np.full((h, w), -1, dtype=np.int16)
-    next_id = 0
-    for y in range(h):
-        for x in range(w):
-            if kind[y, x] != EXIT or exit_id[y, x] != -1:
-                continue
-            stack = [(x, y)]
-            exit_id[y, x] = next_id
-            while stack:
-                cx, cy = stack.pop()
-                for dx, dy in _MOORE_OFFSETS:
-                    nx, ny = cx + dx, cy + dy
-                    if 0 <= nx < w and 0 <= ny < h:
-                        if kind[ny, nx] == EXIT and exit_id[ny, nx] == -1:
-                            exit_id[ny, nx] = next_id
-                            stack.append((nx, ny))
-            next_id += 1
-    return exit_id, next_id
+    exit_id = np.full(kind.shape, -1, dtype=np.int16)
+    unlabeled = {(int(y), int(x)) for y, x in np.argwhere(kind == EXIT)}
+    n = 0
+    for first in sorted(unlabeled):
+        if first not in unlabeled:
+            continue
+        unlabeled.discard(first)
+        stack = [first]
+        while stack:
+            y, x = stack.pop()
+            exit_id[y, x] = n
+            for dx, dy in MOORE_OFFSETS:
+                if (y + dy, x + dx) in unlabeled:
+                    unlabeled.discard((y + dy, x + dx))
+                    stack.append((y + dy, x + dx))
+        n += 1
+    return exit_id, n
 
 
 @dataclass(frozen=True)
@@ -239,20 +256,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if ch not in _CHAR_KIND:
                 raise ParseError(f"unknown cell character {ch!r}", lineno, col)
 
-    height = len(rows)
-    kind = np.empty((height, width), dtype=np.int8)
-    char_spawns: list[tuple[int, int, int]] = []  # (x, y, lineno)
-    for y, (lineno, row) in enumerate(rows):
-        for x, ch in enumerate(row):
-            kind[y, x] = _CHAR_KIND[ch]
-            if ch == "a":
-                char_spawns.append((x, y, lineno))
-
-    for y in range(height):
-        for x in range(width):
-            on_edge = x == 0 or y == 0 or x == width - 1 or y == height - 1
-            if on_edge and kind[y, x] == FLOOR:
-                raise ParseError("open boundary: edge cell must be wall or exit", rows[y][0], x + 1)
+    kind = np.array([[_CHAR_KIND[ch] for ch in row] for _, row in rows], dtype=np.int8)
+    # (x, y, lineno) of each 'a' cell
+    char_spawns = [(x, y, lineno) for y, (lineno, row) in enumerate(rows) for x, ch in enumerate(row) if ch == "a"]
+    inner = np.zeros(kind.shape, dtype=bool)
+    inner[1:-1, 1:-1] = True
+    for y, x in np.argwhere((kind == FLOOR) & ~inner)[:1]:
+        raise ParseError("open boundary: edge cell must be wall or exit", rows[y][0], int(x) + 1)
     if not (kind == EXIT).any():
         raise ParseError("scenario has no exit cell")
     if not (kind == FLOOR).any():
@@ -387,26 +397,3 @@ def neighborhood(p: tuple[int, int], v_max: int, grid: Grid) -> np.ndarray:
     ok = grid.kind[cells[:, 1], cells[:, 0]] != WALL
     return cells[ok]
 
-
-def moore_steps(grid: Grid, x: int, y: int):
-    """Yield (nx, ny, cost) for permitted single steps out of (x, y).
-
-    A step targets an in-grid non-wall Moore neighbor; cost is 1 for
-    orthogonal and sqrt(2) for diagonal steps. A diagonal step is forbidden
-    when both of its orthogonal corner cells are walls (no squeezing through
-    a closed corner). The same step rule defines the distance-field graph.
-    """
-    kind = grid.kind
-    w, h = grid.width, grid.height
-    for dx, dy in _MOORE_OFFSETS:
-        nx, ny = x + dx, y + dy
-        if not (0 <= nx < w and 0 <= ny < h):
-            continue
-        if kind[ny, nx] == WALL:
-            continue
-        if dx != 0 and dy != 0:
-            if kind[y, nx] == WALL and kind[ny, x] == WALL:
-                continue
-            yield nx, ny, SQRT2
-        else:
-            yield nx, ny, 1.0

@@ -1,47 +1,51 @@
 """Geodesic distance fields on the lattice: per-exit and distance-to-wall.
 
-Distances are exact shortest paths on the Moore step graph (orthogonal cost
-1, diagonal cost sqrt(2), closed corners impassable), computed once before a
-run with Dijkstra's algorithm. Both fields are read-only (H, W) arrays.
+Distances are shortest paths over the permitted steps of `Grid.steps`
+(orthogonal cost 1, diagonal sqrt(2)), computed once before a run by a
+vectorised label-correcting relaxation: each pass relaxes every permitted step
+out of the cells the last pass improved. As fl(d + c) is monotone in d, the
+fixpoint is each cell's least left-fold float sum over all paths, bit for bit
+what Dijkstra's search returns. Both fields are read-only (H, W) arrays.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
-from .scenario import EXIT, WALL, Grid, moore_steps
+from .scenario import EXIT, MOORE_OFFSETS, WALL, Grid
 
 UNREACHABLE = math.inf
 
+_STEP_COSTS = tuple(math.sqrt(2.0) if dx and dy else 1.0 for dx, dy in MOORE_OFFSETS)
 
-def _dijkstra(grid: Grid, sources: list[tuple[int, int]]) -> np.ndarray:
-    dist = np.full((grid.height, grid.width), UNREACHABLE, dtype=np.float64)
-    heap: list[tuple[float, int, int]] = []
-    for x, y in sources:
-        dist[y, x] = 0.0
-        heap.append((0.0, x, y))
-    heapq.heapify(heap)
-    while heap:
-        d, x, y = heapq.heappop(heap)
-        if d > dist[y, x]:
-            continue
-        for nx, ny, cost in moore_steps(grid, x, y):
-            nd = d + cost
-            if nd < dist[ny, nx]:
-                dist[ny, nx] = nd
-                heapq.heappush(heap, (nd, nx, ny))
-    return dist
+
+def _relax(grid: Grid, sources: np.ndarray) -> np.ndarray:
+    """Least path cost from the cells of the boolean mask `sources` to every cell."""
+    steps = grid.steps.ravel()
+    dist = np.where(sources.ravel(), 0.0, UNREACHABLE)
+    improved = np.zeros(steps.size, dtype=bool)
+    front = np.flatnonzero(sources)
+    while front.size:
+        bits, d = steps[front], dist[front]
+        for k, (dx, dy) in enumerate(MOORE_OFFSETS):
+            has = (bits & (1 << k)) != 0
+            target, nd = front[has] + (dy * grid.width + dx), d[has] + _STEP_COSTS[k]
+            better = nd < dist[target]
+            # distinct front cells have distinct targets, so a plain store keeps the least
+            dist[target[better]] = nd[better]
+            improved[target[better]] = True
+        front = np.flatnonzero(improved)
+        improved[front] = False
+    return dist.reshape(grid.height, grid.width)
 
 
 def compute_static_field(grid: Grid, exit_id: int) -> np.ndarray:
     """Shortest Moore-graph distance from every cell to exit group exit_id; walls and cut-off cells are inf."""
     if not 0 <= exit_id < grid.n_exits:
         raise ValueError(f"exit id {exit_id} does not exist")
-    ys, xs = np.nonzero((grid.kind == EXIT) & (grid.exit_id == exit_id))
-    dist = _dijkstra(grid, [(int(x), int(y)) for x, y in zip(xs, ys)])
+    dist = _relax(grid, (grid.kind == EXIT) & (grid.exit_id == exit_id))
     dist.setflags(write=False)
     return dist
 
@@ -52,8 +56,6 @@ def compute_wall_distance(grid: Grid, w_max: float) -> np.ndarray:
     Exit cells are passable, not wall sources; with no wall anywhere every
     cell sits at the clamp value.
     """
-    ys, xs = np.nonzero(grid.kind == WALL)
-    dist = _dijkstra(grid, [(int(x), int(y)) for x, y in zip(xs, ys)])
-    wdist = np.minimum(dist, w_max)
+    wdist = np.minimum(_relax(grid, grid.kind == WALL), w_max)
     wdist.setflags(write=False)
     return wdist

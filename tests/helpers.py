@@ -1,7 +1,10 @@
 """Shared test oracles and scenario builders.
 
-The distance oracle here is intentionally naive (fixpoint relaxation over the
-whole grid) so it shares no code with the package's priority-queue search.
+`moore_steps` is the scalar oracle of the step rule that `Grid.steps` holds
+as bits. Two distance oracles share no code with the package's vectorised
+relaxation over that table: `relaxation_distances` (naive fixpoint sweeps
+over the whole grid) and `dijkstra_distances` (a priority-queue search over
+`moore_steps`, which the package's fields must equal bit for bit).
 The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
 for the package's batched decision kernels, which read a `SimState` built by
 `make_state`.
@@ -9,6 +12,7 @@ for the package's batched decision kernels, which read a `SimState` built by
 
 from __future__ import annotations
 
+import heapq
 import math
 from types import SimpleNamespace
 
@@ -57,6 +61,52 @@ def relaxation_distances(kind: np.ndarray, sources: list[tuple[int, int]]) -> np
                 if best < dist[y, x] - 1e-15:
                     dist[y, x] = best
                     changed = True
+    return dist
+
+
+def moore_steps(grid, x: int, y: int):
+    """Yield (nx, ny, cost) for permitted single steps out of (x, y).
+
+    A step targets an in-grid non-wall Moore neighbor; cost is 1 for
+    orthogonal and sqrt(2) for diagonal steps. A diagonal step is forbidden
+    when both of its orthogonal corner cells are walls (no squeezing through
+    a closed corner). Offsets come in the order of `MOORE_OFFSETS`.
+    """
+    from evacsim.scenario import MOORE_OFFSETS
+
+    kind = grid.kind
+    w, h = grid.width, grid.height
+    for dx, dy in MOORE_OFFSETS:
+        nx, ny = x + dx, y + dy
+        if not (0 <= nx < w and 0 <= ny < h):
+            continue
+        if kind[ny, nx] == WALL:
+            continue
+        if dx != 0 and dy != 0:
+            if kind[y, nx] == WALL and kind[ny, x] == WALL:
+                continue
+            yield nx, ny, SQRT2
+        else:
+            yield nx, ny, 1.0
+
+
+def dijkstra_distances(grid, sources: list[tuple[int, int]]) -> np.ndarray:
+    """Shortest `moore_steps` distances from the (x, y) sources by a priority-queue search."""
+    dist = np.full((grid.height, grid.width), np.inf)
+    heap: list[tuple[float, int, int]] = []
+    for x, y in sources:
+        dist[y, x] = 0.0
+        heap.append((0.0, x, y))
+    heapq.heapify(heap)
+    while heap:
+        d, x, y = heapq.heappop(heap)
+        if d > dist[y, x]:
+            continue
+        for nx, ny, cost in moore_steps(grid, x, y):
+            nd = d + cost
+            if nd < dist[ny, nx]:
+                dist[ny, nx] = nd
+                heapq.heappush(heap, (nd, nx, ny))
     return dist
 
 

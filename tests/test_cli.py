@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +28,18 @@ def test_default_run_writes_summary_and_trajectories(tmp_path, capsys):
     assert not (tmp_path / "heatmap_7.pgm").exists()
     out = capsys.readouterr().out
     assert "seed=7 evacuation_rounds=10 evacuation_seconds=10.0" in out
+
+
+def test_python_dash_m_runs_the_program(tmp_path):
+    src = str(SCENARIOS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evacsim", "--scenario", ROOM, "--seed", "0", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "summary_0.txt").exists()
+    assert "seed=0 evacuation_rounds=" in proc.stdout
 
 
 def test_summary_file_contents(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from evacsim.scenario import (
     EXIT,
     FLOOR,
+    MOORE_OFFSETS,
     WALL,
     AgentProfile,
     Grid,
@@ -15,13 +16,12 @@ from evacsim.scenario import (
     SimConfig,
     Spawn,
     disc_offsets,
-    moore_steps,
     neighborhood,
     parse_scenario,
     render_scenario,
 )
 
-from helpers import open_room_rows, rows_to_text
+from helpers import moore_steps, open_room_rows, random_kind, rows_to_text
 
 
 def open_grid(width: int, height: int, exits=((1, 0),)) -> Grid:
@@ -256,19 +256,42 @@ def test_disc_offsets_cached_and_readonly():
         offs[0, 0] = 99
 
 
-def test_moore_steps_corner_rule():
+def table_targets(g: Grid, x: int, y: int) -> set[tuple[int, int]]:
+    """Step targets out of (x, y) whose bits are set in the grid's step table."""
+    bits = int(g.steps[y, x])
+    return {(x + dx, y + dy) for k, (dx, dy) in enumerate(MOORE_OFFSETS) if bits >> k & 1}
+
+
+def pinched_kind() -> np.ndarray:
     # wall pair pinching the diagonal between (1,1) and (2,2)
     kind = np.full((4, 4), FLOOR, dtype=np.int8)
     kind[1, 2] = WALL  # (2,1)
     kind[2, 1] = WALL  # (1,2)
     kind[0, 0] = EXIT
-    g = Grid.from_kind(kind)
-    targets = {(nx, ny) for nx, ny, _ in moore_steps(g, 1, 1)}
+    return kind
+
+
+def test_moore_steps_corner_rule():
+    g = Grid.from_kind(pinched_kind())
+    targets = table_targets(g, 1, 1)
     assert (2, 2) not in targets
     # single wall corner keeps the diagonal open
     kind2 = np.full((4, 4), FLOOR, dtype=np.int8)
     kind2[1, 2] = WALL
     kind2[0, 0] = EXIT
     g2 = Grid.from_kind(kind2)
-    targets2 = {(nx, ny) for nx, ny, _ in moore_steps(g2, 1, 1)}
+    targets2 = table_targets(g2, 1, 1)
     assert (2, 2) in targets2
+
+
+def test_step_table_matches_scalar_oracle():
+    rng = np.random.default_rng(5)
+    kinds = [pinched_kind()] + [random_kind(rng) for _ in range(40)]
+    for kind in kinds:
+        g = Grid.from_kind(kind)
+        assert g.steps.dtype == np.uint8 and g.steps.shape == kind.shape
+        assert not g.steps.flags.writeable
+        for y in range(g.height):
+            for x in range(g.width):
+                oracle = {(nx, ny) for nx, ny, _ in moore_steps(g, x, y)}
+                assert table_targets(g, x, y) == oracle, (x, y)

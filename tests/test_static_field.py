@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evacsim.scenario import EXIT, FLOOR, WALL, Grid, moore_steps
+from evacsim.scenario import EXIT, FLOOR, WALL, Grid, parse_scenario
 from evacsim.static_field import (
     UNREACHABLE,
     compute_static_field,
     compute_wall_distance,
 )
 
-from helpers import kind_from_rows, random_kind, relaxation_distances
+from helpers import dijkstra_distances, kind_from_rows, moore_steps, random_kind, relaxation_distances
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,3 +199,63 @@ def test_uncapped_wall_distance_agrees_below_cutoff():
         assert np.allclose(capped[below], free[below], rtol=0, atol=1e-12)
         assert (capped[~below] == 3.0).all()
 
+
+# ------------------------------------------- exactness against the reference
+
+def _benchmark_crowd_grid() -> Grid:
+    """The benchmark's generated 120x120 crowd room (workload seed 0)."""
+    module_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return parse_scenario(workloads.crowd_dense(0)).grid
+
+
+def _cells(mask: np.ndarray) -> list[tuple[int, int]]:
+    return [(int(x), int(y)) for y, x in np.argwhere(mask)]
+
+
+def test_fields_equal_priority_queue_search_bit_for_bit():
+    grids = [parse_scenario(path.read_text()).grid for path in sorted((ROOT / "scenarios").glob("*.txt"))]
+    assert len(grids) == 3
+    grids.append(_benchmark_crowd_grid())
+    rng = np.random.default_rng(4242)
+    grids += [Grid.from_kind(random_kind(rng)) for _ in range(30)]
+    for g in grids:
+        for eid in range(g.n_exits):
+            reference = dijkstra_distances(g, _cells(g.exit_id == eid))
+            assert np.array_equal(compute_static_field(g, eid), reference)
+        to_wall = dijkstra_distances(g, _cells(g.kind == WALL))
+        for w_max in (3.0, math.inf):
+            assert np.array_equal(compute_wall_distance(g, w_max), np.minimum(to_wall, w_max))
+
+
+@st.composite
+def small_grids(draw) -> Grid:
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from([WALL, FLOOR, FLOOR, EXIT]), min_size=h * w, max_size=h * w))
+    return Grid.from_kind(np.array(cells, dtype=np.int8).reshape(h, w))
+
+
+def _incoming_minimum(g: Grid, dist: np.ndarray) -> np.ndarray:
+    """min(dist[u] + cost) over the permitted steps u -> v into each cell v; inf with none."""
+    best = np.full(dist.shape, np.inf)
+    for y in range(g.height):
+        for x in range(g.width):
+            for nx, ny, cost in moore_steps(g, x, y):
+                best[ny, nx] = min(best[ny, nx], dist[y, x] + cost)
+    return best
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_grids())
+def test_fields_are_the_fixpoint_of_one_step_relaxation(g):
+    fields = [(compute_static_field(g, eid), g.exit_id == eid) for eid in range(g.n_exits)]
+    fields.append((compute_wall_distance(g, math.inf), g.kind == WALL))
+    for dist, sources in fields:
+        assert (dist[sources] == 0.0).all()
+        best = _incoming_minimum(g, dist)
+        non_source = ~sources
+        assert (dist[non_source] == best[non_source]).all()
+    for dist, _ in fields[:-1]:
+        assert np.isinf(dist[g.kind == WALL]).all()
