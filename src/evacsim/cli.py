@@ -15,7 +15,9 @@ from dataclasses import replace
 
 from .decision import SimulationError
 from .engine import ROUND_SECONDS, SimResult, init_state, run_simulation
-from .scenario import KIND_CHAR, PROFILE_KEYS, Grid, ParseError, ScenarioSpec, SimConfig, parse_scenario
+from .scenario import (
+    KIND_CHAR, PROFILE_KEYS, Grid, ParseError, ScenarioSpec, SimConfig, parse_scenario, profile_field,
+)
 
 EMIT_CHOICES = ("trajectories", "summary", "heatmap", "snapshots", "steplog")
 DEFAULT_EMIT = "trajectories,summary"
@@ -64,10 +66,8 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
                 sim_kwargs[key] = float(value)
             elif key == "max_rounds":
                 sim_kwargs[key] = int(value)
-            elif key == "v_max":
-                profile_kwargs["v_max"] = int(value)
             elif key in PROFILE_KEYS:
-                profile_kwargs[PROFILE_KEYS[key]] = float(value)
+                profile_kwargs.update(profile_field(key, value))
             else:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
         except ValueError as exc:

@@ -13,11 +13,12 @@ large couplings or trace values cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .scenario import WALL, disc_offsets
+from .scenario import WALL, AgentProfile, disc_offsets
 
 if TYPE_CHECKING:
     from .engine import SimState
@@ -34,21 +35,13 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class Agent:
-    """One simulated pedestrian. Position and choice state mutate during a run."""
+    """One simulated pedestrian: its profile, and the state that changes during a run."""
 
     id: int
     pos: tuple[int, int]
-    v_max: int
-    k_s: float
-    k_d: float
-    k_i: float
-    k_w: float
-    k_p: float
-    k_e: float
-    allowed_exits: frozenset[int]
+    profile: AgentProfile
     chosen_exit: int | None = None
     last_disp: tuple[int, int] = (0, 0)
-    alive: bool = True
 
 
 @dataclass
@@ -87,6 +80,12 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, last)
 
 
+@lru_cache(maxsize=None)
+def _exit_mask(allowed_exits: tuple[int, ...] | None, n_exits: int) -> tuple[bool, ...]:
+    """One row of the allowed-exit mask; None allows every exit."""
+    return tuple(allowed_exits is None or e in allowed_exits for e in range(n_exits))
+
+
 def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
     """(N, E) unnormalized exit-choice weights (1 + persistence bonus) / distance^2.
 
@@ -96,10 +95,9 @@ def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
     n_exits = exit_dist.shape[0]
     pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
     s = exit_dist[:, pos[:, 1], pos[:, 0]].T
-    exits = range(n_exits)
-    allowed = np.array([[e in a.allowed_exits for e in exits] for a in agents], dtype=bool)
+    allowed = np.array([_exit_mask(a.profile.allowed_exits, n_exits) for a in agents], dtype=bool)
     chosen = np.array([-1 if a.chosen_exit is None else a.chosen_exit for a in agents])
-    k_e = np.array([a.k_e for a in agents], dtype=np.float64)
+    k_e = np.array([a.profile.k_e for a in agents], dtype=np.float64)
     bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
     usable = allowed.reshape(-1, n_exits) & np.isfinite(s)
     return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
@@ -141,10 +139,11 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
     is zero).
     """
     pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
-    v_max = np.array([a.v_max for a in agents], dtype=np.int64)
+    profiles = [a.profile for a in agents]
+    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)
     chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
     last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
-    k = np.array([(a.k_s, a.k_d, a.k_i, a.k_w, a.k_p) for a in agents], dtype=np.float64).reshape(-1, 5)
+    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
     # fields are read through flat cell indices y * width + x

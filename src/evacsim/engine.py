@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import math
-
 import numpy as np
 
-from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts
+from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, exit_weights
 from .dynamic_field import DynamicField
 from .movement import execute_round
 from .scenario import Grid, ScenarioSpec, SimConfig
@@ -45,6 +43,7 @@ def derive_stream(
 class SimState:
     """Everything a run reads and mutates round to round.
 
+    `agents` lists every agent by id, `alive` the ones still in the room.
     `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
     the (H, W) wall distance clamped to `config.w_max`; both are read-only.
     """
@@ -52,6 +51,7 @@ class SimState:
     grid: Grid
     config: SimConfig
     agents: list[Agent]
+    alive: list[Agent]
     exit_dist: np.ndarray
     wall_dist: np.ndarray
     dyn_field: DynamicField
@@ -63,9 +63,6 @@ class SimState:
     step_log: list[tuple[int, int, int, int, int, int, int]] = field(default_factory=list)
     alive_counts: list[int] = field(default_factory=list)
     exit_rounds: dict[int, int] = field(default_factory=dict)
-
-    def alive_agents(self) -> list[Agent]:
-        return [a for a in self.agents if a.alive]
 
 
 @dataclass
@@ -95,34 +92,13 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
     exit_dist = np.stack([compute_static_field(grid, e) for e in range(grid.n_exits)])
     exit_dist.setflags(write=False)
 
-    agents: list[Agent] = []
-    for i, spawn in enumerate(spec.spawns):
-        p = spec.profiles[spawn.profile]
-        allowed = (
-            frozenset(range(grid.n_exits))
-            if p.allowed_exits is None
-            else frozenset(p.allowed_exits)
+    agents = [Agent(id=i, pos=(s.x, s.y), profile=spec.profiles[s.profile]) for i, s in enumerate(spec.spawns)]
+    stuck = np.flatnonzero(~exit_weights(agents, exit_dist).any(axis=1))
+    if stuck.size:
+        a = agents[int(stuck[0])]
+        raise SimulationError(
+            f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits"
         )
-        agents.append(
-            Agent(
-                id=i,
-                pos=(spawn.x, spawn.y),
-                v_max=p.v_max,
-                k_s=p.k_s,
-                k_d=p.k_d,
-                k_i=p.k_i,
-                k_w=p.k_w,
-                k_p=p.k_p,
-                k_e=p.k_e,
-                allowed_exits=allowed,
-            )
-        )
-    for a in agents:
-        x, y = a.pos
-        if not any(math.isfinite(exit_dist[e, y, x]) for e in a.allowed_exits):
-            raise SimulationError(
-                f"agent {a.id} at ({x}, {y}) cannot reach any of its allowed exits"
-            )
 
     occupancy = np.zeros((grid.height, grid.width), dtype=bool)
     for a in agents:
@@ -132,6 +108,7 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
         grid=grid,
         config=config,
         agents=agents,
+        alive=list(agents),
         exit_dist=exit_dist,
         wall_dist=compute_wall_distance(grid, config.w_max),
         dyn_field=DynamicField(grid),
@@ -151,7 +128,7 @@ def run_round(state: SimState) -> None:
     cfg = state.config
     seed = cfg.seed
     t = state.t
-    alive = state.alive_agents()
+    alive = state.alive
     ids = np.array([a.id for a in alive], dtype=np.int64)
     n = len(state.agents)
 
@@ -162,7 +139,7 @@ def run_round(state: SimState) -> None:
     starts = [a.pos for a in alive]
     execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, 0, PURPOSE_MOVEMENT))
 
-    state.dyn_field.record_moves(execution.net_moves)
+    state.dyn_field.record_moves([(s, a.pos) for a, s in zip(alive, starts) if a.pos != s])
     state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, 0, PURPOSE_FIELD))
 
     round_no = t + 1
@@ -176,7 +153,6 @@ def run_round(state: SimState) -> None:
         state.trajectory.append((round_no, a.id, x, y))
         state.density[y, x] += 1
         if state.grid.is_exit(x, y):
-            a.alive = False
             state.exit_rounds[a.id] = round_no
             continue
         if state.occupancy[y, x]:
@@ -184,6 +160,7 @@ def run_round(state: SimState) -> None:
         state.occupancy[y, x] = True
         remaining.append(a)
     state.counts = crowd_counts(state.occupancy)
+    state.alive = remaining
     state.alive_counts.append(len(remaining))
     state.t = round_no
 

@@ -31,9 +31,8 @@ def chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 @dataclass
 class RoundExecution:
-    """Movement-phase outcome: net displacements and the per-step log."""
+    """Movement-phase outcome: the per-step log."""
 
-    net_moves: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
     steps: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
 
@@ -59,17 +58,17 @@ def execute_step(
     grid: Grid,
     blocked: np.ndarray,
     rng: np.random.Generator,
-    start: tuple[int, int] | None = None,
+    start: tuple[int, int],
 ) -> tuple[int, int] | None:
     """One micro-step toward dest, or None when the agent's round is over.
 
     Candidates are the permitted step targets out of pos that are unblocked
-    and no farther (Euclidean) from the round-start cell `start` (default:
-    pos) than dest is; the chosen one minimizes Euclidean distance to dest
-    (exact integer arithmetic, ties uniform at random) and must strictly beat
-    staying put. The target cell is marked blocked.
+    and no farther (Euclidean) from the round-start cell `start` than dest
+    is; the chosen one minimizes Euclidean distance to dest (exact integer
+    arithmetic, ties uniform at random) and must strictly beat staying put.
+    The target cell is marked blocked.
     """
-    sx, sy = pos if start is None else start
+    sx, sy = start
     rx = dest[0] - sx
     ry = dest[1] - sy
     radius = rx * rx + ry * ry
@@ -145,8 +144,4 @@ def execute_round(
         occupied.add(new_pos)
         result.steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))
         a.pos = new_pos
-
-    for a in agents:
-        if a.pos != start[a.id]:
-            result.net_moves.append((start[a.id], a.pos))
     return result

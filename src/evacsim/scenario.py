@@ -1,4 +1,4 @@
-"""Lattice world: cell grid, scenario file parsing, neighborhood enumeration.
+"""Lattice world: cell grid, scenario file parsing and rendering, disc offsets.
 
 Grids are row-major numpy arrays indexed ``[y, x]``; positions at the API
 surface are ``(x, y)`` tuples with the origin at the top-left corner.
@@ -201,6 +201,7 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+# scenario and config file key -> AgentProfile field, in the order profile lines are written
 PROFILE_KEYS = {
     "v_max": "v_max",
     "k_S": "k_s",
@@ -210,6 +211,13 @@ PROFILE_KEYS = {
     "k_P": "k_p",
     "k_E": "k_e",
 }
+
+
+def profile_field(key: str, value: str) -> dict[str, int | float]:
+    """{AgentProfile field: value} for one PROFILE_KEYS entry; v_max is an int, the rest floats."""
+    name = PROFILE_KEYS[key]
+    return {name: int(value) if name == "v_max" else float(value)}
+
 
 _AGENT_RE = re.compile(r"^agent\s+(-?\d+)\s+(-?\d+)\s+(\S+)\s*$")
 
@@ -328,10 +336,8 @@ def _parse_profile_line(line: str, lineno: int, n_exits: int) -> tuple[str, Agen
                         if not 0 <= eid < n_exits:
                             raise ValueError(f"exit id {eid} does not exist")
                     profile = replace(profile, allowed_exits=ids)
-            elif key == "v_max":
-                profile = replace(profile, v_max=int(value))
             elif key in PROFILE_KEYS:
-                profile = replace(profile, **{PROFILE_KEYS[key]: float(value)})
+                profile = replace(profile, **profile_field(key, value))
             else:
                 raise ValueError(f"unknown profile key {key!r}")
         except ValueError as exc:
@@ -357,11 +363,9 @@ def render_scenario(spec: ScenarioSpec) -> str:
     for name, p in spec.profiles.items():
         if name == "default" and p == DEFAULT_PROFILE:
             continue
+        fields = " ".join(f"{key}={getattr(p, attr)}" for key, attr in PROFILE_KEYS.items())
         exits = "all" if p.allowed_exits is None else ",".join(str(e) for e in p.allowed_exits)
-        lines.append(
-            f"profile {name} v_max={p.v_max} k_S={p.k_s} k_D={p.k_d} k_I={p.k_i}"
-            f" k_W={p.k_w} k_P={p.k_p} k_E={p.k_e} exits={exits}"
-        )
+        lines.append(f"profile {name} {fields} exits={exits}")
     lines.extend(directives)
     return "\n".join(lines) + "\n"
 
@@ -379,21 +383,3 @@ def disc_offsets(v_max: int) -> np.ndarray:
     arr = np.array(offs, dtype=np.int64)
     arr.setflags(write=False)
     return arr
-
-
-def neighborhood(p: tuple[int, int], v_max: int, grid: Grid) -> np.ndarray:
-    """In-grid non-wall cells within Euclidean distance v_max of p, incl. p.
-
-    Returns an (m, 2) array of (x, y) positions.
-    """
-    cells = np.asarray(p, dtype=np.int64) + disc_offsets(v_max)
-    ok = (
-        (cells[:, 0] >= 0)
-        & (cells[:, 0] < grid.width)
-        & (cells[:, 1] >= 0)
-        & (cells[:, 1] < grid.height)
-    )
-    cells = cells[ok]
-    ok = grid.kind[cells[:, 1], cells[:, 0]] != WALL
-    return cells[ok]
-

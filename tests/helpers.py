@@ -7,7 +7,8 @@ over the whole grid) and `dijkstra_distances` (a priority-queue search over
 `moore_steps`, which the package's fields must equal bit for bit).
 The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
 for the package's batched decision kernels, which read a `SimState` built by
-`make_state`.
+`make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
+disc, from which the destination kernel takes its candidates.
 """
 
 from __future__ import annotations
@@ -141,13 +142,33 @@ def kind_from_rows(rows: list[str]) -> np.ndarray:
     return np.array([[table[ch] for ch in row] for row in rows], dtype=np.int8)
 
 
-def make_agent(agent_id, pos, v_max=3, **couplings):
-    """Agent with all couplings zero unless overridden."""
+def make_agent(agent_id, pos, v_max=3, exits=(0,), **couplings):
+    """Agent with all couplings zero unless overridden, allowed to use `exits`."""
     from evacsim.decision import Agent
+    from evacsim.scenario import AgentProfile
 
     kw = dict(k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0, k_e=0.0)
     kw.update(couplings)
-    return Agent(id=agent_id, pos=pos, v_max=v_max, allowed_exits=frozenset({0}), **kw)
+    return Agent(id=agent_id, pos=pos, profile=AgentProfile(v_max=v_max, allowed_exits=tuple(exits), **kw))
+
+
+def neighborhood(p: tuple[int, int], v_max: int, grid) -> np.ndarray:
+    """In-grid non-wall cells within Euclidean distance v_max of p, incl. p.
+
+    Returns an (m, 2) array of (x, y) positions.
+    """
+    from evacsim.scenario import disc_offsets
+
+    cells = np.asarray(p, dtype=np.int64) + disc_offsets(v_max)
+    ok = (
+        (cells[:, 0] >= 0)
+        & (cells[:, 0] < grid.width)
+        & (cells[:, 1] >= 0)
+        & (cells[:, 1] < grid.height)
+    )
+    cells = cells[ok]
+    ok = grid.kind[cells[:, 1], cells[:, 0]] != WALL
+    return cells[ok]
 
 
 def open_room_rows(width: int, height: int, exits: list[tuple[int, int]]) -> list[str]:
@@ -168,21 +189,22 @@ def exit_weight(agent, exit_id: int, dist: np.ndarray) -> float:
     """(1 + persistence bonus) / max(S, 1)^2 for one allowed, reachable exit; else 0."""
     x, y = agent.pos
     s = dist[y, x]
-    if exit_id not in agent.allowed_exits or not math.isfinite(s):
+    allowed = agent.profile.allowed_exits
+    if (allowed is not None and exit_id not in allowed) or not math.isfinite(s):
         return 0.0
-    bonus = agent.k_e if exit_id == agent.chosen_exit else 0.0
+    bonus = agent.profile.k_e if exit_id == agent.chosen_exit else 0.0
     return (1.0 + bonus) / max(s, 1.0) ** 2
 
 
 def logw_static(agent, cell: tuple[int, int], dist: np.ndarray) -> float:
     """-k_S * S at the candidate cell, S read from one exit's distance array."""
-    return -agent.k_s * dist[cell[1], cell[0]]
+    return -agent.profile.k_s * dist[cell[1], cell[0]]
 
 
 def logw_dynamic(agent, cell: tuple[int, int], df) -> float:
     """k_D * (trace at the candidate) . (candidate offset from the agent's cell)."""
     dx, dy = df.dx[cell[1], cell[0]], df.dy[cell[1], cell[0]]
-    return agent.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
+    return agent.profile.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
 
 
 def logw_inertia(agent, cell: tuple[int, int]) -> float:
@@ -195,7 +217,7 @@ def logw_inertia(agent, cell: tuple[int, int]) -> float:
         return 0.0
     cos_phi = max(-1.0, min(1.0, (ux * vx + uy * vy) / (v_prev * v_next)))
     sin_half = math.sqrt((1.0 - cos_phi) / 2.0)
-    return -agent.k_i * (v_next + v_prev) * sin_half
+    return -agent.profile.k_i * (v_next + v_prev) * sin_half
 
 
 def logw_wall(cell: tuple[int, int], wall_dist: np.ndarray, k_w: float, w_max: float) -> float:
@@ -217,8 +239,8 @@ def logw_total(agent, cell: tuple[int, int], state) -> float:
         logw_static(agent, cell, state.exit_dist[agent.chosen_exit])
         + logw_dynamic(agent, cell, state.dyn_field)
         + logw_inertia(agent, cell)
-        + logw_wall(cell, state.wall_dist, agent.k_w, state.config.w_max)
-        + logw_polite(cell, state.counts, agent.k_p)
+        + logw_wall(cell, state.wall_dist, agent.profile.k_w, state.config.w_max)
+        + logw_polite(cell, state.counts, agent.profile.k_p)
     )
 
 

@@ -214,14 +214,12 @@ def test_criterion_05_exit_choice_law():
     fields = init_state(spec, SimConfig()).exit_dist
     n = 100_000
 
-    agent = make_agent(0, (3, 1))
-    agent.allowed_exits = frozenset({0, 1})
+    agent = make_agent(0, (3, 1), exits=(0, 1))
     rng = np.random.default_rng(55)
     near = np.count_nonzero(choose_exit([agent] * n, fields, rng.random(n)) == 0)
     plain_err = abs(near / n - 0.8)
 
-    sticky = make_agent(1, (3, 1), k_e=1.0)
-    sticky.allowed_exits = frozenset({0, 1})
+    sticky = make_agent(1, (3, 1), exits=(0, 1), k_e=1.0)
     sticky.chosen_exit = 1  # far exit was last round's choice
     near_sticky = np.count_nonzero(choose_exit([sticky] * n, fields, rng.random(n)) == 0)
     sticky_err = abs(near_sticky / n - 2 / 3)

@@ -20,7 +20,7 @@ from evacsim.decision import (
     softmax_from_log,
 )
 from evacsim.dynamic_field import DynamicField
-from evacsim.scenario import neighborhood
+from evacsim.scenario import AgentProfile
 
 from helpers import (
     agent_distribution,
@@ -32,6 +32,7 @@ from helpers import (
     logw_total,
     logw_wall,
     make_state,
+    neighborhood,
     open_room_rows,
 )
 
@@ -40,10 +41,9 @@ LN2 = math.log(2.0)
 
 def make_agent(pos, *, v_max=1, k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0,
                k_e=0.0, exits=(0,), agent_id=0) -> Agent:
-    return Agent(
-        id=agent_id, pos=pos, v_max=v_max, k_s=k_s, k_d=k_d, k_i=k_i,
-        k_w=k_w, k_p=k_p, k_e=k_e, allowed_exits=frozenset(exits),
-    )
+    return Agent(id=agent_id, pos=pos, profile=AgentProfile(
+        v_max=v_max, k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p, k_e=k_e, allowed_exits=tuple(exits),
+    ))
 
 
 # ---------------------------------------------------------------- exit choice
@@ -376,8 +376,8 @@ def test_scalar_and_vector_paths_agree():
             logw_static(a, cell, sf)
             + logw_dynamic(a, cell, state.dyn_field)
             + logw_inertia(a, cell)
-            + logw_wall(cell, state.wall_dist, a.k_w, state.config.w_max)
-            + logw_polite(cell, state.counts, a.k_p)
+            + logw_wall(cell, state.wall_dist, a.profile.k_w, state.config.w_max)
+            + logw_polite(cell, state.counts, a.profile.k_p)
         )
     expected = softmax_from_log(np.array(logs))
     assert np.allclose(dist.probs, expected, rtol=0, atol=1e-12)
@@ -436,7 +436,7 @@ def test_exit_kernel_rows_match_oracle():
             assert math.isclose(row[e], exit_weight(a, e, state.exit_dist[e]), rel_tol=0, abs_tol=1e-12)
     chosen = choose_exit(agents, state.exit_dist, np.random.default_rng(8).random(len(agents)))
     for a, e in zip(agents, chosen):
-        assert a.chosen_exit == e and e in a.allowed_exits
+        assert a.chosen_exit == e and e in a.profile.allowed_exits
 
 
 @pytest.mark.parametrize("block_rows", [2, decision.BLOCK_ROWS])
@@ -453,7 +453,7 @@ def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
             seen.append(int(r))
             cand = block.candidate[i]
             cells = [(int(x), int(y)) for x, y in block.cells[i]]
-            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.v_max, state.grid)}
+            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.profile.v_max, state.grid)}
             expected -= held - {a.pos}
             assert {c for c, ok in zip(cells, cand) if ok} == expected
             assert np.isneginf(block.logw[i][~cand]).all()

@@ -138,6 +138,23 @@ def test_round_boundary_exclusion_in_trajectory():
         assert len(set(cells)) == len(cells), f"overlap in round {r}"
 
 
+def test_round_records_each_net_move_at_its_start_cell():
+    # without decay and diffusion the trace after one round is exactly the
+    # sum of the agents' net moves, each at its round-start cell
+    state = init_state(load("room"), SimConfig(seed=3, delta=0.0, alpha=0.0))
+    starts = {a.id: a.pos for a in state.agents}
+    run_round(state)
+    expected_dx = np.zeros_like(state.dyn_field.dx)
+    expected_dy = np.zeros_like(state.dyn_field.dy)
+    for a in state.agents:
+        (sx, sy), (x, y) = starts[a.id], a.pos
+        expected_dx[sy, sx] = x - sx
+        expected_dy[sy, sx] = y - sy
+    assert expected_dx.any() or expected_dy.any()
+    assert np.array_equal(state.dyn_field.dx, expected_dx)
+    assert np.array_equal(state.dyn_field.dy, expected_dy)
+
+
 def test_density_counts_every_logged_position():
     spec = load("room")
     result = run_simulation(spec, SimConfig(seed=2))
@@ -148,11 +165,11 @@ def test_occupancy_mirrors_alive_agents_after_each_round():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=5))
     for _ in range(6):
-        if not state.alive_agents():
+        if not state.alive:
             break
         run_round(state)
         expected = np.zeros_like(state.occupancy)
-        for a in state.alive_agents():
+        for a in state.alive:
             expected[a.pos[1], a.pos[0]] = True
         assert np.array_equal(state.occupancy, expected)
         assert np.array_equal(state.counts, crowd_counts(state.occupancy))
@@ -169,12 +186,12 @@ def test_chosen_exit_stays_in_allowed_set():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=9))
     for _ in range(8):
-        if not state.alive_agents():
+        if not state.alive:
             break
         run_round(state)
         for a in state.agents:
             if a.chosen_exit is not None:
-                assert a.chosen_exit in a.allowed_exits
+                assert a.chosen_exit in (a.profile.allowed_exits or range(state.grid.n_exits))
 
 
 # ------------------------------------------------------- statistical behavior
@@ -189,7 +206,7 @@ def test_zero_coupling_agent_performs_lazy_uniform_walk():
     n = 4000
     for _ in range(n):
         agent.pos = (8, 8)
-        agent.alive = True
+        state.alive = [agent]
         agent.last_disp = (0, 0)
         state.occupancy[:] = False
         state.occupancy[8, 8] = True
@@ -228,7 +245,7 @@ def test_removing_an_agent_keeps_the_others_draws(monkeypatch):
     full = init_state(spec, SimConfig(seed=21))
     less = init_state(spec, SimConfig(seed=21))
     gone = less.agents[4]
-    gone.alive = False
+    less.alive.remove(gone)
     less.occupancy[gone.pos[1], gone.pos[0]] = False
     less.counts = crowd_counts(less.occupancy)
     a = capture_draws(monkeypatch, full)

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evacsim.engine import init_state
 from evacsim.scenario import (
+    DEFAULT_PROFILE,
     EXIT,
     FLOOR,
     MOORE_OFFSETS,
@@ -13,15 +19,17 @@ from evacsim.scenario import (
     AgentProfile,
     Grid,
     ParseError,
+    ScenarioSpec,
     SimConfig,
     Spawn,
     disc_offsets,
-    neighborhood,
     parse_scenario,
     render_scenario,
 )
 
-from helpers import moore_steps, open_room_rows, random_kind, rows_to_text
+from helpers import moore_steps, neighborhood, open_room_rows, random_kind, rows_to_text
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def open_grid(width: int, height: int, exits=((1, 0),)) -> Grid:
@@ -180,12 +188,56 @@ def test_round_trip_through_renderer():
 
 
 def test_round_trip_of_bundled_scenarios():
-    import pathlib
-
     for name in ("corridor", "two_exits", "room"):
-        path = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.txt"
-        spec = parse_scenario(path.read_text())
+        spec = parse_scenario((ROOT / "scenarios" / f"{name}.txt").read_text())
         assert parse_scenario(render_scenario(spec)) == spec
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_specs(draw) -> ScenarioSpec:
+    """Named profiles over the full value ranges, and spawns of any profile on a random closed grid."""
+    kind = random_kind(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), max_side=8)
+    grid = Grid.from_kind(kind)
+    exit_ids = st.lists(st.integers(0, grid.n_exits - 1), min_size=1, unique=True)
+    profile = st.builds(
+        AgentProfile,
+        v_max=st.integers(1, 5),
+        k_s=NON_NEGATIVE,
+        k_d=FINITE,
+        k_i=NON_NEGATIVE,
+        k_w=NON_NEGATIVE,
+        k_p=NON_NEGATIVE,
+        k_e=NON_NEGATIVE,
+        allowed_exits=st.none() | exit_ids.map(lambda ids: tuple(sorted(ids))),
+    )
+    names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=7)
+    profiles = {"default": DEFAULT_PROFILE, **draw(st.dictionaries(names, profile, max_size=4))}
+    floors = [(int(x), int(y)) for y, x in np.argwhere(kind == FLOOR)]
+    cells = draw(st.lists(st.sampled_from(floors), unique=True, max_size=len(floors)))
+    spawns = sorted(
+        (Spawn(x, y, draw(st.sampled_from(sorted(profiles)))) for x, y in cells), key=lambda s: (s.y, s.x)
+    )
+    return ScenarioSpec(grid=grid, profiles=profiles, spawns=tuple(spawns))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenario_specs())
+def test_render_then_parse_gives_the_spec_back(spec):
+    assert parse_scenario(render_scenario(spec)) == spec
+
+
+def test_readme_scenario_example_parses():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Scenario files", 1)[1].split("```", 2)[1]
+    spec = parse_scenario(example)
+    assert spec.grid.n_exits == 2
+    assert spec.profiles["cautious"].allowed_exits == (0,)
+    assert [s.profile for s in spec.spawns] == ["default", "cautious", "cautious"]
+    init_state(spec, SimConfig())  # every agent reaches an allowed exit
 
 
 # ---------------------------------------------------------------- config
