@@ -1,15 +1,20 @@
 """Sequential step execution: randomly interleaved single-cell moves.
 
 Each agent owes one movement token per Chebyshev step between its position
-and its destination. Tokens from all agents are shuffled into one sequence
-and consumed in order; every executed step moves one agent to the permitted
-neighbor cell (a set bit of `Grid.steps`, tried in `MOORE_OFFSETS` order)
-nearest (Euclidean) to its destination. A step never leaves the disc around
-the agent's round-start cell whose radius is the destination's distance, so
-a detour around blocked cells cannot carry the net move past the speed disc
-the destination was drawn from. A cell occupied at any moment of a round
-stays blocked until the round ends, so agents consume the space along their
-paths, not just their endpoints.
+and its destination. The tokens are agent rows (indices into the round's
+agent list); all of them are shuffled into one sequence and consumed in
+order. Every executed step moves one agent to the permitted neighbor cell (a
+set bit of `Grid.steps`, tried in `MOORE_OFFSETS` order) nearest (Euclidean)
+to its destination. A step never leaves the disc around the agent's
+round-start cell whose radius is the destination's distance, so a detour
+around blocked cells cannot carry the net move past the speed disc the
+destination was drawn from. A cell occupied at any moment of a round stays
+blocked until the round ends, so agents consume the space along their paths,
+not just their endpoints.
+
+The token loop reads no numpy element: step bits and blocking are flat byte
+maps indexed `y * width + x`, and positions are a list by row, written back
+to the agents once when the round ends.
 """
 
 from __future__ import annotations
@@ -25,13 +30,9 @@ from .scenario import MOORE_OFFSETS, Grid
 _STEP_OFFSETS = tuple(tuple(o for k, o in enumerate(MOORE_OFFSETS) if b >> k & 1) for b in range(256))
 
 
-def chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 @dataclass
 class RoundExecution:
-    """Movement-phase outcome: the per-step log."""
+    """Movement-phase outcome: the per-step log of (id, fx, fy, tx, ty) rows."""
 
     steps: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
@@ -41,49 +42,40 @@ def build_step_sequence(
     destinations: dict[int, tuple[int, int]],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Uniformly shuffled token sequence; agent i appears Chebyshev(pos, dest) times."""
-    ids: list[int] = []
-    reps: list[int] = []
-    for a in agents:
-        ids.append(a.id)
-        reps.append(chebyshev(a.pos, destinations[a.id]))
-    seq = np.repeat(np.asarray(ids, dtype=np.int64), reps)
+    """Uniformly shuffled token sequence; row i appears Chebyshev(pos, dest) times."""
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    dest = np.array([destinations[a.id] for a in agents], dtype=np.int64).reshape(-1, 2)
+    seq = np.repeat(np.arange(len(agents)), np.abs(dest - pos).max(axis=1))
     rng.shuffle(seq)
     return seq
 
 
 def execute_step(
-    pos: tuple[int, int],
-    dest: tuple[int, int],
-    grid: Grid,
-    blocked: np.ndarray,
-    rng: np.random.Generator,
-    start: tuple[int, int],
+    pos: tuple[int, int], dest: tuple[int, int], steps: bytes, width: int,
+    blocked: bytearray, rng: np.random.Generator, start: tuple[int, int],
 ) -> tuple[int, int] | None:
     """One micro-step toward dest, or None when the agent's round is over.
 
-    Candidates are the permitted step targets out of pos that are unblocked
-    and no farther (Euclidean) from the round-start cell `start` than dest
-    is; the chosen one minimizes Euclidean distance to dest (exact integer
-    arithmetic, ties uniform at random) and must strictly beat staying put.
-    The target cell is marked blocked.
+    `steps` is `Grid.steps.tobytes()` and `blocked` a byte per cell, both
+    indexed `y * width + x`. Candidates are the permitted step targets out of
+    pos that are unblocked and no farther (Euclidean) from the round-start
+    cell `start` than dest is; the chosen one minimizes Euclidean distance to
+    dest (exact integer arithmetic, ties uniform at random) and must strictly
+    beat staying put. The target cell is marked blocked.
     """
-    sx, sy = start
-    rx = dest[0] - sx
-    ry = dest[1] - sy
-    radius = rx * rx + ry * ry
-    dx0 = pos[0] - dest[0]
-    dy0 = pos[1] - dest[1]
-    here = dx0 * dx0 + dy0 * dy0
-    best = here
-    best_cells: list[tuple[int, int]] = []
     x, y = pos
-    for ox, oy in _STEP_OFFSETS[int(grid.steps[y, x])]:
-        nx, ny = x + ox, y + oy
-        if blocked[ny, nx]:
+    tx, ty = dest
+    sx, sy = start
+    radius = (tx - sx) ** 2 + (ty - sy) ** 2
+    best = here = (x - tx) ** 2 + (y - ty) ** 2
+    best_cells: list[tuple[int, int]] = []
+    for ox, oy in _STEP_OFFSETS[steps[y * width + x]]:
+        nx = x + ox
+        ny = y + oy
+        if blocked[ny * width + nx]:
             continue
-        ddx = nx - dest[0]
-        ddy = ny - dest[1]
+        ddx = nx - tx
+        ddy = ny - ty
         d2 = ddx * ddx + ddy * ddy
         # worse than the best so far, or only as good as staying put
         if d2 > best or d2 == here:
@@ -100,7 +92,7 @@ def execute_step(
     if not best_cells:
         return None
     target = best_cells[int(rng.integers(len(best_cells)))] if len(best_cells) > 1 else best_cells[0]
-    blocked[target[1], target[0]] = True
+    blocked[target[1] * width + target[0]] = 1
     return target
 
 
@@ -110,38 +102,40 @@ def execute_round(
     grid: Grid,
     rng: np.random.Generator,
 ) -> RoundExecution:
-    """Run the whole movement phase, mutating agent positions.
+    """Run the whole movement phase, then write each agent's final `pos` once.
 
     Blocking starts from every agent's current cell and only grows. Tokens of
-    agents that already reached their destination, or that found no improving
-    unblocked step inside their destination radius earlier in the round, are
-    skipped.
+    an agent that found no improving unblocked step inside its destination
+    radius earlier in the round are skipped. An agent at its destination has
+    used all its tokens, since a step shortens the Chebyshev distance by at
+    most one.
     """
-    blocked = np.zeros((grid.height, grid.width), dtype=bool)
-    occupied: set[tuple[int, int]] = set()
-    for a in agents:
-        blocked[a.pos[1], a.pos[0]] = True
-        occupied.add(a.pos)
-    start = {a.id: a.pos for a in agents}
-    by_id = {a.id: a for a in agents}
-    finished: set[int] = set()
+    width = grid.width
+    steps = grid.steps.tobytes()
+    blocked = bytearray(width * grid.height)
+    start = [a.pos for a in agents]
+    for x, y in start:
+        blocked[y * width + x] = 1
+    pos = list(start)
+    dest = [destinations[a.id] for a in agents]
+    done = [False] * len(agents)
+    occupied = set(start)
 
     result = RoundExecution()
-    for aid in build_step_sequence(agents, destinations, rng):
-        aid = int(aid)
-        if aid in finished:
+    for row in build_step_sequence(agents, destinations, rng).tolist():
+        if done[row]:
             continue
-        a = by_id[aid]
-        if a.pos == destinations[aid]:
-            continue
-        new_pos = execute_step(a.pos, destinations[aid], grid, blocked, rng, start[aid])
+        here = pos[row]
+        new_pos = execute_step(here, dest[row], steps, width, blocked, rng, start[row])
         if new_pos is None:
-            finished.add(aid)
+            done[row] = True
             continue
         if new_pos in occupied:
             raise SimulationError(f"two agents on one cell {new_pos}")
-        occupied.discard(a.pos)
+        occupied.discard(here)
         occupied.add(new_pos)
-        result.steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))
-        a.pos = new_pos
+        result.steps.append((agents[row].id, here[0], here[1], new_pos[0], new_pos[1]))
+        pos[row] = new_pos
+    for a, p in zip(agents, pos):
+        a.pos = p
     return result

@@ -279,10 +279,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     grid = Grid.from_kind(kind)
 
     profiles: dict[str, AgentProfile] = {"default": DEFAULT_PROFILE}
+    given: set[str] = set()
     for lineno, line in profile_lines:
         name, profile = _parse_profile_line(line, lineno, grid.n_exits)
-        if name != "default" and name in profiles:
+        if name in given:
             raise ParseError(f"duplicate profile {name!r}", lineno)
+        given.add(name)
         profiles[name] = profile
 
     spawns: list[Spawn] = []

@@ -9,6 +9,9 @@ The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
 for the package's batched decision kernels, which read a `SimState` built by
 `make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
 disc, from which the destination kernel takes its candidates.
+`reference_execute_round` is the movement phase as it stood before the token
+loop went flat: id-keyed dicts, an (H, W) `blocked` array and per-token
+numpy reads, consuming the same draws.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import numpy as np
 
 WALL, FLOOR, EXIT = 0, 1, 2
 SQRT2 = math.sqrt(2.0)
+
+
+def chebyshev(a: tuple[int, int], b: tuple[int, int]) -> int:
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def relaxation_distances(kind: np.ndarray, sources: list[tuple[int, int]]) -> np.ndarray:
@@ -271,3 +278,89 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
         state.occupancy[y, x] = True
     state.counts = crowd_counts(state.occupancy)
     return state
+
+
+# ------------------------------------------------------- movement oracle
+
+def _reference_execute_step(pos, dest, grid, blocked: np.ndarray, rng, start):
+    """One micro-step toward dest, or None; marks the target in `blocked`."""
+    from evacsim.scenario import MOORE_OFFSETS
+
+    sx, sy = start
+    rx = dest[0] - sx
+    ry = dest[1] - sy
+    radius = rx * rx + ry * ry
+    dx0 = pos[0] - dest[0]
+    dy0 = pos[1] - dest[1]
+    here = dx0 * dx0 + dy0 * dy0
+    best = here
+    best_cells: list[tuple[int, int]] = []
+    x, y = pos
+    bits = int(grid.steps[y, x])
+    for k, (ox, oy) in enumerate(MOORE_OFFSETS):
+        if not bits >> k & 1:
+            continue
+        nx, ny = x + ox, y + oy
+        if blocked[ny, nx]:
+            continue
+        ddx = nx - dest[0]
+        ddy = ny - dest[1]
+        d2 = ddx * ddx + ddy * ddy
+        if d2 > best or d2 == here:
+            continue
+        rx = nx - sx
+        ry = ny - sy
+        if rx * rx + ry * ry > radius:
+            continue
+        if d2 < best:
+            best = d2
+            best_cells = [(nx, ny)]
+        else:
+            best_cells.append((nx, ny))
+    if not best_cells:
+        return None
+    target = best_cells[int(rng.integers(len(best_cells)))] if len(best_cells) > 1 else best_cells[0]
+    blocked[target[1], target[0]] = True
+    return target
+
+
+def reference_execute_round(agents, destinations, grid, rng):
+    """The movement phase with id-keyed tokens; mutates `a.pos` step by step.
+
+    Returns the step log as (id, fx, fy, tx, ty) rows.
+    """
+    from evacsim.decision import SimulationError
+
+    blocked = np.zeros((grid.height, grid.width), dtype=bool)
+    occupied: set[tuple[int, int]] = set()
+    for a in agents:
+        blocked[a.pos[1], a.pos[0]] = True
+        occupied.add(a.pos)
+    start = {a.id: a.pos for a in agents}
+    by_id = {a.id: a for a in agents}
+    finished: set[int] = set()
+
+    ids = np.asarray([a.id for a in agents], dtype=np.int64)
+    reps = [chebyshev(a.pos, destinations[a.id]) for a in agents]
+    seq = np.repeat(ids, reps)
+    rng.shuffle(seq)
+
+    steps = []
+    for aid in seq:
+        aid = int(aid)
+        if aid in finished:
+            continue
+        a = by_id[aid]
+        if a.pos == destinations[aid]:
+            continue
+        new_pos = _reference_execute_step(a.pos, destinations[aid], grid, blocked, rng, start[aid])
+        if new_pos is None:
+            finished.add(aid)
+            continue
+        if new_pos in occupied:
+            raise SimulationError(f"two agents on one cell {new_pos}")
+        occupied.discard(a.pos)
+        occupied.add(new_pos)
+        steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))
+        a.pos = new_pos
+    return steps

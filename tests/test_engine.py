@@ -292,6 +292,20 @@ def test_golden_digest(name, seed):
     assert h.hexdigest() == GOLDEN_DIGESTS[(name, seed)]
 
 
+def test_dense_crowd_golden_digest():
+    """Two rounds of the benchmark's 4177-agent crowd room, where blocking and
+    step ties are frequent; the shipped scenarios run at most 11 agents."""
+    module_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    result = run_simulation(parse_scenario(workloads.crowd_dense(0)), SimConfig(seed=0, max_rounds=2))
+    assert len(result.step_log) == 13330
+    h = hashlib.sha256()
+    h.update(np.asarray(result.trajectory, dtype=np.int64).tobytes())
+    h.update(np.asarray(result.step_log, dtype=np.int64).tobytes())
+    assert h.hexdigest() == "a43ada357398583b7b96bacaf56e0a5a6b86c90687e142437d7f512f71b87631"
+
+
 def test_benchmark_layer_trace_wraps_engine_names():
     """The benchmark's per-layer trace patches `engine`'s module-level names;
     a rename or a new signature would break `perfbench/run.py --trace 1`."""

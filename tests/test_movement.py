@@ -5,16 +5,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim.movement import (
     build_step_sequence,
-    chebyshev,
     execute_round,
     execute_step,
 )
 from evacsim.scenario import FLOOR, Grid
 
-from helpers import kind_from_rows, make_agent, neighborhood
+from helpers import chebyshev, kind_from_rows, make_agent, neighborhood, random_kind, reference_execute_round
 
 
 def open_grid(w: int, h: int) -> Grid:
@@ -56,11 +57,11 @@ def test_interleavings_are_uniform():
 
 def test_step_moves_to_unique_minimizer():
     g = open_grid(6, 6)
-    blocked = np.zeros((6, 6), dtype=bool)
-    blocked[0, 0] = True
-    new = execute_step((0, 0), (3, 0), g, blocked, np.random.default_rng(0), (0, 0))
+    blocked = bytearray(36)
+    blocked[0] = 1
+    new = execute_step((0, 0), (3, 0), g.steps.tobytes(), 6, blocked, np.random.default_rng(0), (0, 0))
     assert new == (1, 0)
-    assert blocked[0, 1]
+    assert blocked[1]
 
 
 def test_step_tie_is_uniform():
@@ -69,10 +70,10 @@ def test_step_tie_is_uniform():
     rng = np.random.default_rng(99)
     picks = {(1, 0): 0, (0, 1): 0}
     for _ in range(n):
-        blocked = np.zeros((6, 6), dtype=bool)
-        blocked[0, 0] = True
-        blocked[1, 1] = True  # the direct diagonal
-        new = execute_step((0, 0), (2, 2), g, blocked, rng, (0, 0))
+        blocked = bytearray(36)
+        blocked[0] = 1
+        blocked[1 * 6 + 1] = 1  # the direct diagonal
+        new = execute_step((0, 0), (2, 2), g.steps.tobytes(), 6, blocked, rng, (0, 0))
         picks[new] += 1
     assert set(picks) == {(1, 0), (0, 1)}
     sigma = math.sqrt(0.25 / n)
@@ -81,15 +82,15 @@ def test_step_tie_is_uniform():
 
 def test_step_requires_strict_improvement():
     g = open_grid(6, 6)
-    blocked = np.zeros((6, 6), dtype=bool)
+    blocked = bytearray(36)
     # standing on the destination: no neighbor is closer than distance 0
-    assert execute_step((2, 2), (2, 2), g, blocked, np.random.default_rng(0), (2, 2)) is None
+    assert execute_step((2, 2), (2, 2), g.steps.tobytes(), 6, blocked, np.random.default_rng(0), (2, 2)) is None
 
 
 def test_step_finished_when_surrounded():
     g = open_grid(5, 5)
-    blocked = np.ones((5, 5), dtype=bool)
-    assert execute_step((2, 2), (4, 2), g, blocked, np.random.default_rng(0), (2, 2)) is None
+    blocked = bytearray(b"\x01" * 25)
+    assert execute_step((2, 2), (4, 2), g.steps.tobytes(), 5, blocked, np.random.default_rng(0), (2, 2)) is None
 
 
 def test_round_walks_to_destination_on_open_floor():
@@ -186,3 +187,44 @@ def test_steps_strictly_decrease_distance_and_respect_blocking():
         # end-of-round exclusion
         finals = [a.pos for a in agents]
         assert len(set(finals)) == len(finals)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_round_equals_reference_on_walled_grids(world_seed, move_seed):
+    # grids with interior walls and pinched diagonals, crowds up to every
+    # floor cell, ids that are not the agents' rows, v_max 1-4
+    rng = np.random.default_rng(world_seed)
+    g = Grid.from_kind(random_kind(rng))
+    floors = [(int(x), int(y)) for y, x in np.argwhere(g.kind == FLOOR)]
+    n = int(rng.integers(1, len(floors) + 1))
+    cells = [floors[i] for i in rng.choice(len(floors), size=n, replace=False)]
+    ids = [int(i) for i in rng.choice(3 * n, size=n, replace=False)]
+    v_max = [int(v) for v in rng.integers(1, 5, size=n)]
+    taken = set(cells)
+    dests = {}
+    for aid, p, v in zip(ids, cells, v_max):
+        options = [(int(x), int(y)) for x, y in neighborhood(p, v, g)]
+        options = [c for c in options if c == p or c not in taken]
+        dests[aid] = options[int(rng.integers(len(options)))]
+    agents = [make_agent(aid, p, v_max=v) for aid, p, v in zip(ids, cells, v_max)]
+    twins = [make_agent(aid, p, v_max=v) for aid, p, v in zip(ids, cells, v_max)]
+
+    flat_rng = np.random.default_rng(move_seed)
+    reference_rng = np.random.default_rng(move_seed)
+    result = execute_round(agents, dests, g, flat_rng)
+    assert result.steps == reference_execute_round(twins, dests, g, reference_rng)
+    assert [a.pos for a in agents] == [b.pos for b in twins]
+    assert flat_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    held = set(cells)
+    for aid, fx, fy, tx, ty in result.steps:
+        assert (tx, ty) not in held
+        held.add((tx, ty))
+        assert math.dist((tx, ty), dests[aid]) < math.dist((fx, fy), dests[aid])
+    for a, start in zip(agents, cells):
+        dx, dy = a.pos[0] - start[0], a.pos[1] - start[1]
+        rx, ry = dests[a.id][0] - start[0], dests[a.id][1] - start[1]
+        assert dx * dx + dy * dy <= rx * rx + ry * ry
+    finals = [a.pos for a in agents]
+    assert len(set(finals)) == len(finals)

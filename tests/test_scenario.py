@@ -149,6 +149,17 @@ def test_parse_rejects_duplicate_spawn():
         parse_scenario(rows_to_text(rows, ["agent 1 1 default"]))
 
 
+def test_parse_rejects_duplicate_profile():
+    rows = ["WWWWW", "W...W", "WWWEW"]
+    for name in ("p", "default"):
+        text = rows_to_text(rows, [f"profile {name} v_max=2", f"profile {name} v_max=4 k_S=0"])
+        with pytest.raises(ParseError, match=f"line 5: duplicate profile '{name}'"):
+            parse_scenario(text)
+    # a single `profile default` line still replaces the built-in default
+    spec = parse_scenario(rows_to_text(rows, ["profile default v_max=4 k_S=0"]))
+    assert spec.profiles["default"] == AgentProfile(v_max=4, k_s=0.0)
+
+
 def test_parse_rejects_unknown_profile_reference():
     rows = ["WWWWW", "W...W", "WWWEW"]
     with pytest.raises(ParseError, match="unknown profile"):
