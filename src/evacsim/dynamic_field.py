@@ -7,12 +7,14 @@ decays with probability delta; survivors diffuse with probability alpha to a
 uniformly random von Neumann neighbor, keeping sign and component. Quanta
 landing on walls (or off-grid) are destroyed.
 
-Per-cell sampling uses binomial/multinomial draws over the quanta counts,
-which is distributionally identical to per-quantum coin flips and keeps the
-update vectorized over the whole grid.
+Per-cell binomial/multinomial draws over the quanta counts equal per-quantum
+coin flips in law. They run only at cells holding quanta, in row-major order;
+numpy draws nothing for a zero count, so they equal the whole-grid draws.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -24,19 +26,20 @@ _VN_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 class DynamicField:
     def __init__(self, grid: Grid):
-        self.dx = np.zeros((grid.height, grid.width), dtype=np.int64)
-        self.dy = np.zeros((grid.height, grid.width), dtype=np.int64)
-        self._wall = grid.kind == WALL
+        h, w = grid.height, grid.width
+        self.dx, self.dy = np.zeros((2, h, w), dtype=np.int64)
+        # flat cell index, padded by the sink h*w, which also stands for every wall cell
+        cell = np.full((h + 2, w + 2), h * w, dtype=np.int32)
+        cell[1:-1, 1:-1] = np.where(grid.kind == WALL, h * w, np.arange(h * w).reshape(h, w))
+        self._stay = cell[1:-1, 1:-1].ravel()
+        shifted = [cell[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w].ravel() for dx, dy in _VN_DIRS]
+        self._neighbor = np.stack(shifted, axis=1)  # (h*w, 4) von Neumann targets
 
     def record_moves(self, moves) -> None:
-        """Add each agent's net displacement to the field at its start cell.
-
-        ``moves`` is an iterable of ((from_x, from_y), (to_x, to_y)) pairs,
-        applied once per round after the movement phase.
-        """
-        for (a, b), (x, y) in moves:
-            self.dx[b, a] += x - a
-            self.dy[b, a] += y - b
+        """Add each ((from_x, from_y), (to_x, to_y)) move's net displacement at its start cell."""
+        fx, fy, tx, ty = np.fromiter(chain.from_iterable(chain.from_iterable(moves)), np.int64).reshape(-1, 4).T
+        np.add.at(self.dx, (fy, fx), tx - fx)
+        np.add.at(self.dy, (fy, fx), ty - fy)
 
     def decay_and_diffuse(self, delta: float, alpha: float, rng: np.random.Generator) -> None:
         """One stochastic field update: decay first, then diffusion of survivors."""
@@ -46,16 +49,13 @@ class DynamicField:
     def _update_component(
         self, comp: np.ndarray, delta: float, alpha: float, rng: np.random.Generator
     ) -> np.ndarray:
-        quanta = np.abs(comp)
-        sign = np.sign(comp)
-        survivors = rng.binomial(quanta, 1.0 - delta)
+        cells = np.flatnonzero(comp)
+        quanta = comp.ravel()[cells]
+        sign = np.sign(quanta)
+        survivors = rng.binomial(np.abs(quanta), 1.0 - delta)
         movers = rng.binomial(survivors, alpha)
         split = rng.multinomial(movers, (0.25, 0.25, 0.25, 0.25))
-        out = sign * (survivors - movers)
-        for k, (dx, dy) in enumerate(_VN_DIRS):
-            leaving = sign * split[..., k]
-            dst = out[max(dy, 0) : out.shape[0] + min(dy, 0), max(dx, 0) : out.shape[1] + min(dx, 0)]
-            src = leaving[max(-dy, 0) : out.shape[0] + min(-dy, 0), max(-dx, 0) : out.shape[1] + min(-dx, 0)]
-            dst += src
-        out[self._wall] = 0
-        return out
+        targets = np.concatenate((self._stay[cells], self._neighbor[cells].ravel()))
+        counts = np.concatenate((sign * (survivors - movers), (sign[:, None] * split).ravel()))
+        out = np.bincount(targets, counts, minlength=comp.size + 1)[:-1]  # drop the sink
+        return out.astype(np.int64).reshape(comp.shape)

@@ -12,6 +12,9 @@ disc, from which the destination kernel takes its candidates.
 `reference_execute_round` is the movement phase as it stood before the token
 loop went flat: id-keyed dicts, an (H, W) `blocked` array and per-token
 numpy reads, consuming the same draws.
+`reference_update_component` is the trace update as it stood before it went
+sparse: binomial and multinomial draws over every cell of the grid, then one
+shifted add per von Neumann direction.
 """
 
 from __future__ import annotations
@@ -364,3 +367,24 @@ def reference_execute_round(agents, destinations, grid, rng):
         steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))
         a.pos = new_pos
     return steps
+
+
+# ------------------------------------------------------- trace field oracle
+
+def reference_update_component(comp: np.ndarray, wall: np.ndarray, delta: float, alpha: float, rng) -> np.ndarray:
+    """One decay-and-diffuse update of a trace component, drawn over the whole grid."""
+    from evacsim.dynamic_field import _VN_DIRS
+
+    quanta = np.abs(comp)
+    sign = np.sign(comp)
+    survivors = rng.binomial(quanta, 1.0 - delta)
+    movers = rng.binomial(survivors, alpha)
+    split = rng.multinomial(movers, (0.25, 0.25, 0.25, 0.25))
+    out = sign * (survivors - movers)
+    for k, (dx, dy) in enumerate(_VN_DIRS):
+        leaving = sign * split[..., k]
+        dst = out[max(dy, 0) : out.shape[0] + min(dy, 0), max(dx, 0) : out.shape[1] + min(dx, 0)]
+        src = leaving[max(-dy, 0) : out.shape[0] + min(-dy, 0), max(-dx, 0) : out.shape[1] + min(-dx, 0)]
+        dst += src
+    out[wall] = 0
+    return out

@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim.dynamic_field import DynamicField
 from evacsim.scenario import EXIT, FLOOR, WALL, Grid
+
+from helpers import random_kind, reference_update_component
 
 
 def open_grid(side: int) -> Grid:
@@ -152,3 +156,59 @@ def test_mean_survival_matches_expectation_within_5_sigma():
     sigma = math.sqrt(n * delta * (1 - delta) / trials)
     assert abs(mean - n * (1 - delta)) <= 5 * sigma
 
+
+# ------------------------------------------- sparse update against the oracle
+
+SPARSE_SHORTCUT = (
+    "numpy now consumes randomness for a zero count; the sparse trace update "
+    "(DynamicField._update_component draws only at cells holding quanta) no longer "
+    "equals the whole-grid draws, so its streams and the golden digests would change"
+)
+
+
+def test_numpy_draws_nothing_for_a_zero_count():
+    for n, p in (([3, 0, 5, 0], 0.3), ([0, 1000, 0, 0, 40], 0.7), ([0, 0], 0.5)):
+        with_zeros, without = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = with_zeros.binomial(n, p)
+        kept = without.binomial([k for k in n if k], p)
+        assert with_zeros.bit_generator.state == without.bit_generator.state, SPARSE_SHORTCUT
+        assert drawn[np.flatnonzero(n)].tolist() == kept.tolist(), SPARSE_SHORTCUT
+    for n in ([4, 0, 2], [0, 0, 700], [0]):
+        with_zeros, without = np.random.default_rng(12), np.random.default_rng(12)
+        drawn = with_zeros.multinomial(n, (0.25, 0.25, 0.25, 0.25))
+        kept = without.multinomial([k for k in n if k], (0.25, 0.25, 0.25, 0.25))
+        assert with_zeros.bit_generator.state == without.bit_generator.state, SPARSE_SHORTCUT
+        assert drawn[np.flatnonzero(n)].tolist() == kept.tolist(), SPARSE_SHORTCUT
+
+
+RATES = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.booleans(), RATES, RATES)
+def test_sparse_update_equals_whole_grid_draws(world_seed, fill, on_walls, delta, alpha):
+    # walled grids with exits cut into the border, so that quanta there
+    # diffuse off the grid; fill 0 gives an all-zero field. Quanta put on
+    # walls are destroyed where they stay, but their movers land next door.
+    rng = np.random.default_rng(world_seed)
+    kind = random_kind(rng, max_side=10)
+    h, w = kind.shape
+    border = [(y, x) for y in range(h) for x in range(w) if y in (0, h - 1) or x in (0, w - 1)]
+    for i in rng.choice(len(border), size=int(rng.integers(1, 4)), replace=False):
+        kind[border[i]] = EXIT
+    g = Grid.from_kind(kind)
+    wall = kind == WALL
+    f = DynamicField(g)
+    for comp in (f.dx, f.dy):
+        held = (on_walls | ~wall) & (rng.random(kind.shape) < fill)
+        comp[held] = rng.integers(-40, 41, size=int(held.sum()))
+    dx, dy = f.dx.copy(), f.dy.copy()
+
+    sparse_rng = np.random.default_rng(world_seed + 1)
+    dense_rng = np.random.default_rng(world_seed + 1)
+    for _ in range(3):
+        f.decay_and_diffuse(delta, alpha, sparse_rng)
+        dx = reference_update_component(dx, wall, delta, alpha, dense_rng)
+        dy = reference_update_component(dy, wall, delta, alpha, dense_rng)
+        assert np.array_equal(f.dx, dx) and np.array_equal(f.dy, dy)
+        assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state

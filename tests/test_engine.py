@@ -9,6 +9,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim import engine
@@ -22,9 +24,10 @@ from evacsim.engine import (
     run_simulation,
 )
 from evacsim.movement import RoundExecution
-from evacsim.scenario import SimConfig, parse_scenario
+from evacsim.scenario import DEFAULT_PROFILE, FLOOR, AgentProfile, Grid, ScenarioSpec, SimConfig, Spawn, parse_scenario
+from evacsim.static_field import compute_static_field
 
-from helpers import open_room_rows, rows_to_text
+from helpers import open_room_rows, random_kind, rows_to_text
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -153,6 +156,45 @@ def test_round_records_each_net_move_at_its_start_cell():
     assert expected_dx.any() or expected_dy.any()
     assert np.array_equal(state.dyn_field.dx, expected_dx)
     assert np.array_equal(state.dyn_field.dy, expected_dy)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(0, 2**16))
+def test_whole_runs_keep_exclusion_and_conserve_the_trace(world_seed, v_max, k_d, seed):
+    # without decay and diffusion every recorded quantum stays where it was
+    # put, so the field sums to the agents' summed net displacements
+    rng = np.random.default_rng(world_seed)
+    grid = Grid.from_kind(random_kind(rng, max_side=9))
+    reach = np.isfinite(np.min([compute_static_field(grid, e) for e in range(grid.n_exits)], axis=0))
+    floors = [(int(x), int(y)) for y, x in np.argwhere((grid.kind == FLOOR) & reach)]
+    picks = rng.choice(len(floors), size=int(rng.integers(0, len(floors) + 1)), replace=False)
+    spawns = tuple(Spawn(*floors[i], str(rng.choice(["default", "p"]))) for i in sorted(picks))
+    profiles = {"default": DEFAULT_PROFILE, "p": AgentProfile(v_max=v_max, k_d=k_d)}
+    spec = ScenarioSpec(grid=grid, profiles=profiles, spawns=spawns)
+
+    states = []
+
+    def keep_state(*args):
+        states.append(init_state(*args))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "init_state", keep_state)
+        result = run_simulation(spec, SimConfig(delta=0.0, alpha=0.0, max_rounds=25, seed=seed))
+
+    by_round: dict[int, list[tuple[int, int]]] = {}
+    last: dict[int, tuple[int, int]] = {}
+    moved_x = moved_y = 0
+    for r, aid, x, y in result.trajectory:
+        by_round.setdefault(r, []).append((x, y))
+        if aid in last:
+            moved_x += x - last[aid][0]
+            moved_y += y - last[aid][1]
+        last[aid] = (x, y)
+    for r, cells in by_round.items():
+        assert len(set(cells)) == len(cells), f"overlap in round {r}"
+    field = states[0].dyn_field
+    assert (int(field.dx.sum()), int(field.dy.sum())) == (moved_x, moved_y)
 
 
 def test_density_counts_every_logged_position():
