@@ -180,16 +180,17 @@ def main(argv: list[str] | None = None) -> int:
             profiles["default"] = default
             spec = ScenarioSpec(grid=spec.grid, profiles=profiles, spawns=spec.spawns)
         base_config = SimConfig(seed=args.seed, **sim_kwargs)
-        init_state(spec, base_config)  # reachability check before any writes
+        first = init_state(spec, base_config)  # reachability check before any writes
     except (ParseError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         os.makedirs(args.out, exist_ok=True)
+        fields = (first.exit_dist, first.wall_dist)
         all_rounds: list[int | None] = []
         for s in range(args.seed, args.seed + args.seeds):
-            result = run_simulation(spec, replace(base_config, seed=s))
+            result = run_simulation(spec, replace(base_config, seed=s), fields)
             write_outputs(result, args.out, emit)
             rounds = result.evacuation_rounds
             seconds = result.evacuation_seconds

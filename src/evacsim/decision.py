@@ -118,13 +118,25 @@ def choose_exit(agents: list[Agent], exit_dist: np.ndarray, u: np.ndarray) -> np
 
 
 def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
-    """Occupied-cell count over each cell's 8 Moore neighbors (center excluded)."""
-    p = np.pad(occupancy.astype(np.int32), 1)
-    return (
-        p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
-        + p[1:-1, :-2] + p[1:-1, 2:]
-        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
-    )
+    """Occupied-cell count over each cell's 8 Moore neighbors (center excluded), as int32."""
+    h, w = occupancy.shape
+    p = np.zeros((h + 2, w + 2), dtype=np.int32)
+    p[1:-1, 1:-1] = occupancy
+    counts = p[:-2, :-2] + p[:-2, 1:-1]
+    for dy, dx in ((0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        counts += p[dy : dy + h, dx : dx + w]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _disc_terms(v_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x and y offsets of the v_max disc, its own-cell mask and each offset's length; read-only."""
+    offsets = disc_offsets(v_max)
+    offx, offy = np.ascontiguousarray(offsets.T)
+    terms = (offx, offy, (offx == 0) & (offy == 0), np.hypot(offx, offy))
+    for a in terms:
+        a.setflags(write=False)
+    return terms
 
 
 def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[DestinationDistribution]:
@@ -136,7 +148,9 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
     - k_W max(0, w_max - W(c)) - k_P crowd(c), u being the last displacement
     and phi the turn angle from u to v = c - p (no inertia term while either
-    is zero).
+    is zero). A term whose coupling is zero on every row of a block is left
+    out: it would add only +-0.0, which changes no probability. The static
+    term always stays, as it carries the reachability mask.
     """
     pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
     profiles = [a.profile for a in agents]
@@ -149,10 +163,7 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
     # fields are read through flat cell indices y * width + x
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
     for v in sorted(set(v_max.tolist())):
-        offsets = disc_offsets(v)
-        offx, offy = offsets[:, 0], offsets[:, 1]
-        own = (offx == 0) & (offy == 0)
-        v_next = np.hypot(offx, offy)
+        offx, offy, own, v_next = _disc_terms(v)
         of_class = np.nonzero(v_max == v)[0]
         for start in range(0, len(of_class), BLOCK_ROWS):
             rows = of_class[start : start + BLOCK_ROWS]
@@ -161,29 +172,35 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
             inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
             at = np.where(inside, cy * width + cx, 0)
             candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, at))
-            k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k[rows].T)
+            k_rows = k[rows]
+            _, on_d, on_i, on_w, on_p = k_rows.any(axis=0).tolist()
+            k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k_rows.T)
 
             s = flat_dist[chosen[rows, None], at]
             reachable = candidate & np.isfinite(s)
             logw = np.where(reachable, -k_s * np.where(reachable, s, 0.0), -np.inf)
 
-            logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
+            if on_d:
+                logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
 
-            ux, uy = last[rows, 0, None], last[rows, 1, None]
-            v_prev = np.hypot(ux, uy)
-            turning = (v_next > 0.0) & (v_prev > 0.0)
-            cos_phi = np.clip(
-                np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning),
-                -1.0,
-                1.0,
-            )
-            sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
-            logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
+            if on_i:
+                ux, uy = last[rows, 0, None], last[rows, 1, None]
+                v_prev = np.hypot(ux, uy)
+                turning = (v_next > 0.0) & (v_prev > 0.0)
+                cos_phi = np.clip(
+                    np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning),
+                    -1.0,
+                    1.0,
+                )
+                sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
+                logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
 
-            w = np.take(state.wall_dist, at)
-            logw -= k_w * np.where(w >= w_max, 0.0, w_max - w)
+            if on_w:
+                w = np.take(state.wall_dist, at)
+                logw -= k_w * np.where(w >= w_max, 0.0, w_max - w)
 
-            logw -= k_p * np.take(state.counts, at)
+            if on_p:
+                logw -= k_p * np.take(state.counts, at)
 
             stuck = rows[np.isneginf(logw.max(axis=1))]
             if stuck.size:

@@ -49,12 +49,20 @@ class DynamicField:
     def _update_component(
         self, comp: np.ndarray, delta: float, alpha: float, rng: np.random.Generator
     ) -> np.ndarray:
+        # a call on counts that are all zero would draw nothing, so it is skipped
         cells = np.flatnonzero(comp)
+        if not cells.size:
+            return comp
         quanta = comp.ravel()[cells]
         sign = np.sign(quanta)
         survivors = rng.binomial(np.abs(quanta), 1.0 - delta)
+        if not survivors.any():
+            return np.zeros_like(comp)
         movers = rng.binomial(survivors, alpha)
-        split = rng.multinomial(movers, (0.25, 0.25, 0.25, 0.25))
+        if movers.any():
+            split = rng.multinomial(movers, (0.25, 0.25, 0.25, 0.25))
+        else:
+            split = np.zeros((cells.size, 4), dtype=np.int64)
         targets = np.concatenate((self._stay[cells], self._neighbor[cells].ravel()))
         counts = np.concatenate((sign * (survivors - movers), (sign[:, None] * split).ravel()))
         out = np.bincount(targets, counts, minlength=comp.size + 1)[:-1]  # drop the sink

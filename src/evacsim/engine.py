@@ -86,11 +86,22 @@ class SimResult:
         return self.evacuation_rounds * ROUND_SECONDS
 
 
-def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
-    """Precompute fields, spawn agents, and validate exit reachability."""
+def init_state(
+    spec: ScenarioSpec, config: SimConfig, fields: tuple[np.ndarray, np.ndarray] | None = None
+) -> SimState:
+    """Precompute fields, spawn agents, and validate exit reachability.
+
+    `fields` is the read-only (exit_dist, wall_dist) pair of an earlier state
+    of the same grid and `config.w_max`; the seeds of a batch share one pair,
+    so a batch computes the floor fields once. Without it both are computed.
+    """
     grid = spec.grid
-    exit_dist = np.stack([compute_static_field(grid, e) for e in range(grid.n_exits)])
-    exit_dist.setflags(write=False)
+    if fields is None:
+        exit_dist = np.stack([compute_static_field(grid, e) for e in range(grid.n_exits)])
+        exit_dist.setflags(write=False)
+        wall_dist = compute_wall_distance(grid, config.w_max)
+    else:
+        exit_dist, wall_dist = fields
 
     agents = [Agent(id=i, pos=(s.x, s.y), profile=spec.profiles[s.profile]) for i, s in enumerate(spec.spawns)]
     stuck = np.flatnonzero(~exit_weights(agents, exit_dist).any(axis=1))
@@ -110,7 +121,7 @@ def init_state(spec: ScenarioSpec, config: SimConfig) -> SimState:
         agents=agents,
         alive=list(agents),
         exit_dist=exit_dist,
-        wall_dist=compute_wall_distance(grid, config.w_max),
+        wall_dist=wall_dist,
         dyn_field=DynamicField(grid),
         occupancy=occupancy,
         counts=crowd_counts(occupancy),
@@ -165,9 +176,11 @@ def run_round(state: SimState) -> None:
     state.t = round_no
 
 
-def run_simulation(spec: ScenarioSpec, config: SimConfig) -> SimResult:
-    """Run rounds until everyone evacuated or max_rounds is hit."""
-    state = init_state(spec, config)
+def run_simulation(
+    spec: ScenarioSpec, config: SimConfig, fields: tuple[np.ndarray, np.ndarray] | None = None
+) -> SimResult:
+    """Run rounds until everyone evacuated or max_rounds is hit; `fields` as in `init_state`."""
+    state = init_state(spec, config, fields)
     while state.alive_counts[-1] and state.t < config.max_rounds:
         run_round(state)
     evacuated = not state.alive_counts[-1]

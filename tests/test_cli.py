@@ -6,10 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from evacsim.cli import main, parse_config_text, UsageError
+from evacsim.cli import EMIT_CHOICES, main, parse_config_text, UsageError, write_outputs
+from evacsim.engine import run_simulation
+from evacsim.scenario import ScenarioSpec, SimConfig, parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 CORRIDOR = str(SCENARIOS / "corridor.txt")
@@ -123,6 +126,42 @@ def test_batch_seeds_write_one_file_each_and_print_mean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("seed=") >= 3
     assert "mean_evacuation_rounds=10.0000" in out
+
+
+def test_batch_equals_its_seeds_run_alone(tmp_path, capsys):
+    """A batch shares one pair of floor fields between its seeds; each seed's
+    artifacts and stdout line must still equal the same seed run on its own,
+    and the artifacts those of a run that computes its own fields. w_max and a
+    default-profile k_P differ from the defaults, so the shared wall distance
+    is clamped at a non-default value; w_max lies above the default, as the
+    kernel weighs cells at or beyond w_max alike, whatever the clamp above it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("w_max=4.0\nk_P=0.4\n")
+    common = ("--scenario", ROOM, "--config", str(cfg), "--emit", ",".join(EMIT_CHOICES))
+
+    def files(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    batch = tmp_path / "batch"
+    assert run_cli(*common, "--seed", "3", "--seeds", "4", "--out", str(batch)) == 0
+    batch_lines = capsys.readouterr().out.splitlines()
+    alone_files = {}
+    for i, s in enumerate(range(3, 7)):
+        alone = tmp_path / f"alone_{s}"
+        assert run_cli(*common, "--seed", str(s), "--out", str(alone)) == 0
+        assert capsys.readouterr().out.splitlines() == [batch_lines[i]]
+        alone_files.update(files(alone))
+    assert alone_files == files(batch)
+
+    sim_kwargs, profile_kwargs = parse_config_text(cfg.read_text())
+    spec = parse_scenario(pathlib.Path(ROOM).read_text())
+    profiles = {**spec.profiles, "default": replace(spec.profiles["default"], **profile_kwargs)}
+    spec = ScenarioSpec(grid=spec.grid, profiles=profiles, spawns=spec.spawns)
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    for s in range(3, 7):
+        write_outputs(run_simulation(spec, SimConfig(seed=s, **sim_kwargs)), str(reference), set(EMIT_CHOICES))
+    assert files(reference) == files(batch)
 
 
 def test_config_file_overrides(tmp_path):

@@ -412,12 +412,31 @@ KERNEL_AGENTS = [
 ]
 
 
-def make_kernel_state():
+# The kernel leaves out a term whose coupling is zero on every row of a block.
+# Each entry zeroes couplings ({name: value}) on the listed KERNEL_AGENTS.
+# Agents 0, 5 and 8 are the whole v_max 4 class, so every block of that class
+# has the coupling zero on all rows; agent 0 alone leaves it on in the other
+# rows of its block. -0.0 is a zero coupling too.
+ZEROED_COUPLINGS = [
+    ({}, ()),
+    ({"k_d": -0.0}, (0, 5, 8)),
+    ({"k_i": 0.0}, (0, 5, 8)),
+    ({"k_w": 0.0}, (0, 5, 8)),
+    ({"k_p": 0.0}, (0, 5, 8)),
+    ({"k_d": -0.0, "k_i": 0.0, "k_w": 0.0, "k_p": 0.0}, (0, 5, 8)),
+    ({"k_d": -0.0, "k_p": 0.0}, (0,)),
+    ({"k_i": 0.0, "k_w": 0.0}, (0,)),
+]
+
+
+def make_kernel_state(zeroed=None, zeroed_agents=()):
     rng = np.random.default_rng(31)
     agents = []
     for i, (pos, v_max, (k_s, k_d, k_i, k_w, k_p, k_e), exits, last_exit, last_disp) in enumerate(KERNEL_AGENTS):
-        a = make_agent(pos, v_max=v_max, k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p,
-                       k_e=k_e, exits=exits, agent_id=i)
+        couplings = dict(k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p)
+        if i in zeroed_agents:
+            couplings.update(zeroed)
+        a = make_agent(pos, v_max=v_max, k_e=k_e, exits=exits, agent_id=i, **couplings)
         a.chosen_exit = last_exit
         a.last_disp = last_disp
         agents.append(a)
@@ -442,23 +461,24 @@ def test_exit_kernel_rows_match_oracle():
 @pytest.mark.parametrize("block_rows", [2, decision.BLOCK_ROWS])
 def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
     monkeypatch.setattr(decision, "BLOCK_ROWS", block_rows)
-    agents, state = make_kernel_state()
-    choose_exit(agents, state.exit_dist, np.random.default_rng(9).random(len(agents)))
-    held = {a.pos for a in agents}
-    seen = []
-    for block in destination_distribution(agents, state):
-        assert len(block.rows) <= block_rows
-        for i, r in enumerate(block.rows):
-            a = agents[r]
-            seen.append(int(r))
-            cand = block.candidate[i]
-            cells = [(int(x), int(y)) for x, y in block.cells[i]]
-            expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.profile.v_max, state.grid)}
-            expected -= held - {a.pos}
-            assert {c for c, ok in zip(cells, cand) if ok} == expected
-            assert np.isneginf(block.logw[i][~cand]).all()
-            for c, ok, lw in zip(cells, cand, block.logw[i]):
-                if ok:
-                    assert math.isclose(lw, logw_total(a, c, state), rel_tol=0, abs_tol=1e-12)
-            assert abs(block.probs[i].sum() - 1.0) <= 1e-12
-    assert sorted(seen) == list(range(len(agents)))
+    for zeroed, zeroed_agents in ZEROED_COUPLINGS:
+        agents, state = make_kernel_state(zeroed, zeroed_agents)
+        choose_exit(agents, state.exit_dist, np.random.default_rng(9).random(len(agents)))
+        held = {a.pos for a in agents}
+        seen = []
+        for block in destination_distribution(agents, state):
+            assert len(block.rows) <= block_rows
+            for i, r in enumerate(block.rows):
+                a = agents[r]
+                seen.append(int(r))
+                cand = block.candidate[i]
+                cells = [(int(x), int(y)) for x, y in block.cells[i]]
+                expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.profile.v_max, state.grid)}
+                expected -= held - {a.pos}
+                assert {c for c, ok in zip(cells, cand) if ok} == expected
+                assert np.isneginf(block.logw[i][~cand]).all()
+                for c, ok, lw in zip(cells, cand, block.logw[i]):
+                    if ok:
+                        assert math.isclose(lw, logw_total(a, c, state), rel_tol=0, abs_tol=1e-12), zeroed
+                assert abs(block.probs[i].sum() - 1.0) <= 1e-12
+        assert sorted(seen) == list(range(len(agents)))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from evacsim import engine
+from evacsim import cli, engine
 from evacsim.decision import SimulationError, crowd_counts
 from evacsim.engine import (
     PURPOSE_DESTINATION,
@@ -348,9 +348,10 @@ def test_dense_crowd_golden_digest():
     assert h.hexdigest() == "a43ada357398583b7b96bacaf56e0a5a6b86c90687e142437d7f512f71b87631"
 
 
-def test_benchmark_layer_trace_wraps_engine_names():
+def test_benchmark_layer_trace_wraps_engine_names(tmp_path, capsys):
     """The benchmark's per-layer trace patches `engine`'s module-level names;
-    a rename or a new signature would break `perfbench/run.py --trace 1`."""
+    a rename or a new signature would break `perfbench/run.py --trace 1`.
+    A batch computes the floor fields once, for all its seeds."""
     module_spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(layertrace)
@@ -366,3 +367,9 @@ def test_benchmark_layer_trace_wraps_engine_names():
     assert counts["decision.calls"] == 2 * rounds
     assert counts["engine.streams"] == 4 * rounds
     assert 0 < counts["movement.steps"] <= counts["movement.tokens"]
+
+    with layertrace.installed(layertrace.LayerTrace()) as trace:
+        argv = ["--scenario", str(SCENARIOS / "room.txt"), "--seeds", "2", "--out", str(tmp_path), "--emit", "summary"]
+        assert cli.main(argv) == 0
+    assert trace.counts["static_field.calls"] == spec.grid.n_exits + 1
+    assert capsys.readouterr().out.count("seed=") == 2
