@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -23,6 +24,8 @@ EMIT_CHOICES = ("trajectories", "summary", "heatmap", "snapshots", "steplog")
 DEFAULT_EMIT = "trajectories,summary"
 
 _CONFIG_FLOAT_KEYS = ("delta", "alpha", "w_max")
+# the names `round_{r:04d}.txt` gives, and no others
+_SNAPSHOT_NAME = re.compile(r"round_(\d{4}|[1-9]\d{4,})\.txt", re.ASCII)
 
 
 class UsageError(Exception):
@@ -119,6 +122,11 @@ def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
         for r, _aid, x, y in result.trajectory:
             by_round.setdefault(r, []).append((x, y))
         last = max(by_round) if by_round else 0
+        # a longer earlier run into the same directory left maps past this run's end
+        for name in os.listdir(snap_dir):
+            m = _SNAPSHOT_NAME.fullmatch(name)
+            if m and int(m[1]) > last:
+                os.remove(os.path.join(snap_dir, name))
         for r in range(last + 1):
             text = render_snapshot(result.grid, by_round.get(r, []))
             _write_text(os.path.join(snap_dir, f"round_{r:04d}.txt"), text)

@@ -118,13 +118,18 @@ def choose_exit(agents: list[Agent], exit_dist: np.ndarray, u: np.ndarray) -> np
 
 
 def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
-    """Occupied-cell count over each cell's 8 Moore neighbors (center excluded), as int32."""
+    """Occupied-cell count over each cell's 8 Moore neighbors, as uint8 (a count is at most 8).
+
+    A separable 3x3 box sum over one zero-padded array, minus the center cell.
+    """
     h, w = occupancy.shape
-    p = np.zeros((h + 2, w + 2), dtype=np.int32)
+    p = np.zeros((h + 2, w + 2), dtype=np.uint8)
     p[1:-1, 1:-1] = occupancy
-    counts = p[:-2, :-2] + p[:-2, 1:-1]
-    for dy, dx in ((0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
-        counts += p[dy : dy + h, dx : dx + w]
+    rows = p[:, :-2] + p[:, 1:-1]
+    rows += p[:, 2:]
+    counts = rows[:-2] + rows[1:-1]
+    counts += rows[2:]
+    counts -= p[1:-1, 1:-1]
     return counts
 
 

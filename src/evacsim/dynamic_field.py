@@ -50,7 +50,7 @@ class DynamicField:
         self, comp: np.ndarray, delta: float, alpha: float, rng: np.random.Generator
     ) -> np.ndarray:
         # a call on counts that are all zero would draw nothing, so it is skipped
-        cells = np.flatnonzero(comp)
+        cells = np.flatnonzero(comp != 0)  # numpy scans bool far faster than int64
         if not cells.size:
             return comp
         quanta = comp.ravel()[cells]

@@ -97,8 +97,7 @@ def init_state(
     """
     grid = spec.grid
     if fields is None:
-        exit_dist = np.stack([compute_static_field(grid, e) for e in range(grid.n_exits)])
-        exit_dist.setflags(write=False)
+        exit_dist = compute_static_field(grid)
         wall_dist = compute_wall_distance(grid, config.w_max)
     else:
         exit_dist, wall_dist = fields

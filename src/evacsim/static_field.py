@@ -5,7 +5,11 @@ Distances are shortest paths over the permitted steps of `Grid.steps`
 vectorised label-correcting relaxation: each pass relaxes every permitted step
 out of the cells the last pass improved. As fl(d + c) is monotone in d, the
 fixpoint is each cell's least left-fold float sum over all paths, bit for bit
-what Dijkstra's search returns. Both fields are read-only (H, W) arrays.
+what Dijkstra's search returns. One pass relaxes a stack of source layers:
+no step leaves the grid, so none leaves its layer. The wall field starts at
+w_max, not inf, so its front stops at the clamp; as a path's partial sums
+only grow, each cell nearer than w_max is reached through nearer cells alone,
+and its value is exact. All fields are read-only.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ UNREACHABLE = math.inf
 _STEP_COSTS = tuple(math.sqrt(2.0) if dx and dy else 1.0 for dx, dy in MOORE_OFFSETS)
 
 
-def _relax(grid: Grid, sources: np.ndarray) -> np.ndarray:
-    """Least path cost from the cells of the boolean mask `sources` to every cell."""
+def _relax(grid: Grid, sources: np.ndarray, bound: float) -> np.ndarray:
+    """Least path cost, capped at `bound`, from the cells of each (H, W) layer of the boolean stack `sources`."""
+    cells = grid.height * grid.width
     steps = grid.steps.ravel()
-    dist = np.where(sources.ravel(), 0.0, UNREACHABLE)
-    improved = np.zeros(steps.size, dtype=bool)
+    dist = np.where(sources.ravel(), 0.0, bound)
+    improved = np.zeros(dist.size, dtype=bool)
     front = np.flatnonzero(sources)
     while front.size:
-        bits, d = steps[front], dist[front]
+        bits, d = steps[front % cells], dist[front]
         for k, (dx, dy) in enumerate(MOORE_OFFSETS):
             has = (bits & (1 << k)) != 0
             target, nd = front[has] + (dy * grid.width + dx), d[has] + _STEP_COSTS[k]
@@ -38,16 +43,15 @@ def _relax(grid: Grid, sources: np.ndarray) -> np.ndarray:
             improved[target[better]] = True
         front = np.flatnonzero(improved)
         improved[front] = False
-    return dist.reshape(grid.height, grid.width)
-
-
-def compute_static_field(grid: Grid, exit_id: int) -> np.ndarray:
-    """Shortest Moore-graph distance from every cell to exit group exit_id; walls and cut-off cells are inf."""
-    if not 0 <= exit_id < grid.n_exits:
-        raise ValueError(f"exit id {exit_id} does not exist")
-    dist = _relax(grid, (grid.kind == EXIT) & (grid.exit_id == exit_id))
+    dist = dist.reshape(sources.shape)
     dist.setflags(write=False)
     return dist
+
+
+def compute_static_field(grid: Grid) -> np.ndarray:
+    """(E, H, W) shortest Moore-graph distances to each exit group; walls and cut-off cells are inf."""
+    exits = np.arange(grid.n_exits)[:, None, None]
+    return _relax(grid, (grid.kind == EXIT) & (grid.exit_id == exits), UNREACHABLE)
 
 
 def compute_wall_distance(grid: Grid, w_max: float) -> np.ndarray:
@@ -56,6 +60,4 @@ def compute_wall_distance(grid: Grid, w_max: float) -> np.ndarray:
     Exit cells are passable, not wall sources; with no wall anywhere every
     cell sits at the clamp value.
     """
-    wdist = np.minimum(_relax(grid, grid.kind == WALL), w_max)
-    wdist.setflags(write=False)
-    return wdist
+    return _relax(grid, (grid.kind == WALL)[None], w_max)[0]

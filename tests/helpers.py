@@ -15,6 +15,8 @@ numpy reads, consuming the same draws.
 `reference_update_component` is the trace update as it stood before it went
 sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
+`reference_crowd_counts` is the crowd count as it stood before the box sum:
+eight shifted slices of one padded `int32` array.
 """
 
 from __future__ import annotations
@@ -388,3 +390,16 @@ def reference_update_component(comp: np.ndarray, wall: np.ndarray, delta: float,
         dst += src
     out[wall] = 0
     return out
+
+
+# ------------------------------------------------------ crowd count oracle
+
+def reference_crowd_counts(occupancy: np.ndarray) -> np.ndarray:
+    """Occupied-cell count over each cell's 8 Moore neighbors, as eight shifted slices on int32."""
+    h, w = occupancy.shape
+    p = np.zeros((h + 2, w + 2), dtype=np.int32)
+    p[1:-1, 1:-1] = occupancy
+    counts = p[:-2, :-2] + p[:-2, 1:-1]
+    for dy, dx in ((0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        counts += p[dy : dy + h, dx : dx + w]
+    return counts

@@ -140,7 +140,7 @@ def test_criterion_02_distance_field_exactness():
         grid = Grid.from_kind(kind)
         grids += 1
         for eid in range(grid.n_exits):
-            dist = compute_static_field(grid, eid)
+            dist = compute_static_field(grid)[eid]
             sources = [(int(x), int(y)) for y, x in np.argwhere(grid.exit_id == eid)]
             oracle = relaxation_distances(kind, sources)
             finite = np.isfinite(oracle)

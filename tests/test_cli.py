@@ -95,6 +95,21 @@ def test_snapshot_round_zero_is_spawn_map(tmp_path):
     assert snap.count("o") == 11  # all spawns shown
 
 
+def test_shorter_rerun_removes_stale_snapshots(tmp_path):
+    run_cli("--scenario", ROOM, "--seed", "0", "--out", str(tmp_path), "--emit", "snapshots,summary")
+    snap_dir = tmp_path / "snapshots_0"
+    assert len(list(snap_dir.glob("round_*.txt"))) > 6
+    for name in ("notes.txt", "round_00099.txt", "round_9999.csv"):
+        (snap_dir / name).write_text("kept\n")
+    assert run_cli(
+        "--scenario", ROOM, "--seed", "0", "--out", str(tmp_path), "--emit", "snapshots,summary", "--max-rounds", "5"
+    ) == 0
+    assert "evacuation_rounds=none" in (tmp_path / "summary_0.txt").read_text()
+    maps = sorted(p.name for p in snap_dir.glob("round_????.txt"))
+    assert maps == [f"round_{r:04d}.txt" for r in range(6)]
+    assert all((snap_dir / name).read_text() == "kept\n" for name in ("notes.txt", "round_00099.txt", "round_9999.csv"))
+
+
 def test_heatmap_is_pgm_with_byte_range(tmp_path):
     run_cli("--scenario", ROOM, "--seed", "2", "--out", str(tmp_path), "--emit", "heatmap")
     lines = (tmp_path / "heatmap_2.pgm").read_text().split()

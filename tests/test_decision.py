@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim import decision
@@ -34,6 +36,7 @@ from helpers import (
     make_state,
     neighborhood,
     open_room_rows,
+    reference_crowd_counts,
 )
 
 LN2 = math.log(2.0)
@@ -149,6 +152,25 @@ def test_crowd_counts_full_block():
     counts = crowd_counts(occ)
     assert counts[2, 2] == 8
     assert counts.max() == 8
+
+
+@st.composite
+def occupancies(draw) -> np.ndarray:
+    h = draw(st.integers(1, 30))
+    w = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        return np.ones((h, w), dtype=bool)
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=bool).reshape(h, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(occupancies())
+def test_crowd_counts_equal_the_shifted_slice_oracle(occ):
+    counts = crowd_counts(occ)
+    assert counts.dtype == np.uint8
+    assert np.array_equal(counts, reference_crowd_counts(occ))
+    assert counts.max() <= 8
 
 
 # ---------------------------------------------------------------- candidates

@@ -165,7 +165,7 @@ def test_whole_runs_keep_exclusion_and_conserve_the_trace(world_seed, v_max, k_d
     # put, so the field sums to the agents' summed net displacements
     rng = np.random.default_rng(world_seed)
     grid = Grid.from_kind(random_kind(rng, max_side=9))
-    reach = np.isfinite(np.min([compute_static_field(grid, e) for e in range(grid.n_exits)], axis=0))
+    reach = np.isfinite(compute_static_field(grid).min(axis=0))
     floors = [(int(x), int(y)) for y, x in np.argwhere((grid.kind == FLOOR) & reach)]
     picks = rng.choice(len(floors), size=int(rng.integers(0, len(floors) + 1)), replace=False)
     spawns = tuple(Spawn(*floors[i], str(rng.choice(["default", "p"]))) for i in sorted(picks))
@@ -363,7 +363,7 @@ def test_benchmark_layer_trace_wraps_engine_names(tmp_path, capsys):
     rounds = len(result.alive_counts) - 1
     assert rounds > 0
     counts = trace.counts
-    assert counts["static_field.calls"] == spec.grid.n_exits + 1
+    assert counts["static_field.calls"] == 2  # one exit stack, one wall field
     assert counts["decision.calls"] == 2 * rounds
     assert counts["engine.streams"] == 4 * rounds
     assert 0 < counts["movement.steps"] <= counts["movement.tokens"]
@@ -371,5 +371,5 @@ def test_benchmark_layer_trace_wraps_engine_names(tmp_path, capsys):
     with layertrace.installed(layertrace.LayerTrace()) as trace:
         argv = ["--scenario", str(SCENARIOS / "room.txt"), "--seeds", "2", "--out", str(tmp_path), "--emit", "summary"]
         assert cli.main(argv) == 0
-    assert trace.counts["static_field.calls"] == spec.grid.n_exits + 1
+    assert trace.counts["static_field.calls"] == 2
     assert capsys.readouterr().out.count("seed=") == 2

@@ -30,7 +30,7 @@ def grid_from_rows(rows: list[str]) -> Grid:
 
 def test_open_3x3_distances():
     g = grid_from_rows(["E..", "...", "..."])
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     assert dist[0, 0] == 0.0
     assert math.isclose(dist[2, 2], 2 * SQRT2, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(dist[0, 2], 2.0, rel_tol=0, abs_tol=1e-12)
@@ -38,13 +38,13 @@ def test_open_3x3_distances():
 
 def test_fields_are_read_only():
     g = grid_from_rows(["E..", ".W.", "..."])
-    assert not compute_static_field(g, 0).flags.writeable
+    assert not compute_static_field(g)[0].flags.writeable
     assert not compute_wall_distance(g, 3.0).flags.writeable
 
 
 def test_walls_are_unreachable_sentinel():
     g = grid_from_rows(["E..", ".W.", "..."])
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     assert dist[1, 1] == UNREACHABLE
 
 
@@ -57,14 +57,14 @@ def test_sealed_region_is_unreachable():
             ".....",
         ]
     )
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     assert dist[1, 2] == UNREACHABLE  # the pocket
     assert np.isfinite(dist[3, 4])
 
 
 def test_multi_cell_exit_group_all_zero():
     g = grid_from_rows(["EE.", "...", "..."])
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     assert dist[0, 0] == 0.0 and dist[0, 1] == 0.0
     assert math.isclose(dist[0, 2], 1.0, abs_tol=1e-12)
 
@@ -92,14 +92,14 @@ DETOUR_SPOTS = {
 
 def test_detour_matches_frozen_oracle_spots():
     g = grid_from_rows(DETOUR_ROWS)
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     for (x, y), expected in DETOUR_SPOTS.items():
         assert math.isclose(dist[y, x], expected, rel_tol=0, abs_tol=1e-9), (x, y)
 
 
 def test_detour_matches_relaxation_oracle_everywhere():
     g = grid_from_rows(DETOUR_ROWS)
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     oracle = relaxation_distances(g.kind, [(0, 3)])
     assert np.allclose(dist, oracle, rtol=0, atol=1e-9, equal_nan=False)
 
@@ -110,7 +110,7 @@ def test_matches_relaxation_oracle_on_random_grids():
         kind = random_kind(rng)
         g = Grid.from_kind(kind)
         for eid in range(g.n_exits):
-            dist = compute_static_field(g, eid)
+            dist = compute_static_field(g)[eid]
             sources = [(int(x), int(y)) for y, x in np.argwhere(g.exit_id == eid)]
             oracle = relaxation_distances(kind, sources)
             finite = np.isfinite(oracle)
@@ -120,7 +120,7 @@ def test_matches_relaxation_oracle_on_random_grids():
 
 def test_relaxation_fixpoint_invariant():
     g = grid_from_rows(DETOUR_ROWS)
-    dist = compute_static_field(g, 0)
+    dist = compute_static_field(g)[0]
     for y in range(g.height):
         for x in range(g.width):
             d = dist[y, x]
@@ -134,7 +134,7 @@ def test_triangle_consistency_over_permitted_steps():
     rng = np.random.default_rng(7)
     for _ in range(10):
         g = Grid.from_kind(random_kind(rng))
-        dist = compute_static_field(g, 0)
+        dist = compute_static_field(g)[0]
         for y in range(g.height):
             for x in range(g.width):
                 if not np.isfinite(dist[y, x]):
@@ -214,18 +214,31 @@ def _cells(mask: np.ndarray) -> list[tuple[int, int]]:
     return [(int(x), int(y)) for y, x in np.argwhere(mask)]
 
 
+# exits in sealed pockets, so the layers of one stack differ in reach
+POCKET_ROWS = (
+    ["WWWWWWW", "E..W.EW", "W..WWWW", "WWWWWWW"],
+    ["WWWWWWWWWW", "E....WWWWW", "W....W.E.W", "W....WWWWW", "W.......EW", "WWWWWWWWWW"],
+)
+
+
 def test_fields_equal_priority_queue_search_bit_for_bit():
     grids = [parse_scenario(path.read_text()).grid for path in sorted((ROOT / "scenarios").glob("*.txt"))]
     assert len(grids) == 3
     grids.append(_benchmark_crowd_grid())
+    grids += [grid_from_rows(rows) for rows in POCKET_ROWS]
+    assert [g.n_exits for g in grids[-2:]] == [2, 3]
     rng = np.random.default_rng(4242)
     grids += [Grid.from_kind(random_kind(rng)) for _ in range(30)]
     for g in grids:
+        exit_dist = compute_static_field(g)
+        assert exit_dist.shape == (g.n_exits, g.height, g.width)
+        assert exit_dist.dtype == np.float64 and not exit_dist.flags.writeable
         for eid in range(g.n_exits):
             reference = dijkstra_distances(g, _cells(g.exit_id == eid))
-            assert np.array_equal(compute_static_field(g, eid), reference)
+            assert np.array_equal(exit_dist[eid], reference)
         to_wall = dijkstra_distances(g, _cells(g.kind == WALL))
-        for w_max in (3.0, math.inf):
+        # the clamps from 0 to 1 + sqrt(2) fall exactly on lattice distances
+        for w_max in (0.0, 1.0, SQRT2, 2.0, 1.0 + SQRT2, 3.0, math.inf):
             assert np.array_equal(compute_wall_distance(g, w_max), np.minimum(to_wall, w_max))
 
 
@@ -250,7 +263,7 @@ def _incoming_minimum(g: Grid, dist: np.ndarray) -> np.ndarray:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(small_grids())
 def test_fields_are_the_fixpoint_of_one_step_relaxation(g):
-    fields = [(compute_static_field(g, eid), g.exit_id == eid) for eid in range(g.n_exits)]
+    fields = [(compute_static_field(g)[eid], g.exit_id == eid) for eid in range(g.n_exits)]
     fields.append((compute_wall_distance(g, math.inf), g.kind == WALL))
     for dist, sources in fields:
         assert (dist[sources] == 0.0).all()
