@@ -1,75 +1,14 @@
-"""Stochastic lattice simulator of pedestrian evacuation with floor fields."""
+"""Stochastic lattice simulator of pedestrian evacuation with floor fields.
 
-from .scenario import (
-    WALL,
-    FLOOR,
-    EXIT,
-    AgentProfile,
-    Grid,
-    ParseError,
-    ScenarioSpec,
-    SimConfig,
-    Spawn,
-    parse_scenario,
-    render_scenario,
-)
-from .static_field import (
-    UNREACHABLE,
-    compute_static_field,
-    compute_wall_distance,
-)
-from .dynamic_field import DynamicField
-from .decision import (
-    Agent,
-    DestinationDistribution,
-    SimulationError,
-    choose_destination,
-    choose_exit,
-    destination_distribution,
-)
-from .movement import execute_round, execute_step
-from .engine import (
-    SimResult,
-    SimState,
-    derive_stream,
-    init_state,
-    run_round,
-    run_simulation,
-)
+The root exports the library surface; the lower-level pieces are imported
+from their modules (`evacsim.engine`, `evacsim.decision`, ...).
+"""
+
 from .cli import main
+from .decision import SimulationError
+from .engine import run_simulation
+from .scenario import ParseError, SimConfig, parse_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WALL",
-    "FLOOR",
-    "EXIT",
-    "AgentProfile",
-    "Grid",
-    "ParseError",
-    "ScenarioSpec",
-    "SimConfig",
-    "Spawn",
-    "parse_scenario",
-    "render_scenario",
-    "UNREACHABLE",
-    "compute_static_field",
-    "compute_wall_distance",
-    "DynamicField",
-    "Agent",
-    "DestinationDistribution",
-    "SimulationError",
-    "choose_destination",
-    "choose_exit",
-    "destination_distribution",
-    "execute_round",
-    "execute_step",
-    "SimResult",
-    "SimState",
-    "derive_stream",
-    "init_state",
-    "run_round",
-    "run_simulation",
-    "main",
-    "__version__",
-]
+__all__ = ["parse_scenario", "SimConfig", "run_simulation", "ParseError", "SimulationError", "main", "__version__"]

@@ -65,5 +65,6 @@ class DynamicField:
             split = np.zeros((cells.size, 4), dtype=np.int64)
         targets = np.concatenate((self._stay[cells], self._neighbor[cells].ravel()))
         counts = np.concatenate((sign * (survivors - movers), (sign[:, None] * split).ravel()))
-        out = np.bincount(targets, counts, minlength=comp.size + 1)[:-1]  # drop the sink
-        return out.astype(np.int64).reshape(comp.shape)
+        out = np.zeros(comp.size + 1, dtype=np.int64)
+        np.add.at(out, targets, counts)
+        return out[:-1].reshape(comp.shape)  # drop the sink

@@ -1,11 +1,11 @@
 """Round loop: decisions, movement, trace update, exit removal, bookkeeping.
 
-Randomness discipline: every random draw comes from a stream derived from
-(master seed, round, entity, purpose), so a run is exactly reproducible from
-its seed. Exit and destination choice each draw one uniform per agent id
-from a single per-round stream, so an agent's draws do not depend on which
-other agents are still in the room. One round models one second; one cell
-edge is 0.4 m.
+Randomness discipline: every random draw comes from a stream keyed by
+(master seed, round, purpose), so a run is exactly reproducible from its
+seed. Exit and destination choice each draw one uniform per agent id from a
+single per-round stream, so an agent's draws do not depend on which other
+agents are still in the room. One round models one second; one cell edge is
+0.4 m.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .movement import execute_round
 from .scenario import Grid, ScenarioSpec, SimConfig
 from .static_field import compute_static_field, compute_wall_distance
 
-CELL_SIZE_M = 0.4
 ROUND_SECONDS = 1.0
 
 # purpose tags for derive_stream
@@ -30,13 +29,9 @@ PURPOSE_MOVEMENT = 2
 PURPOSE_FIELD = 3
 
 
-def derive_stream(
-    master_seed: int, round_idx: int, entity: int, purpose: int
-) -> np.random.Generator:
-    """Independent deterministic substream for one (round, entity, purpose)."""
-    return np.random.default_rng(
-        np.random.SeedSequence([master_seed, round_idx, entity, purpose])
-    )
+def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.Generator:
+    """Independent deterministic substream for one (round, purpose); the pinned digests rest on the key's fixed 0."""
+    return np.random.default_rng(np.random.SeedSequence([master_seed, round_idx, 0, purpose]))
 
 
 @dataclass
@@ -142,15 +137,15 @@ def run_round(state: SimState) -> None:
     ids = np.array([a.id for a in alive], dtype=np.int64)
     n = len(state.agents)
 
-    choose_exit(alive, state.exit_dist, derive_stream(seed, t, 0, PURPOSE_EXIT).random(n)[ids])
-    cells = choose_destination(alive, state, derive_stream(seed, t, 0, PURPOSE_DESTINATION).random(n)[ids])
+    choose_exit(alive, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
+    cells = choose_destination(alive, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
     destinations = {a.id: c for a, c in zip(alive, cells)}
 
     starts = [a.pos for a in alive]
-    execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, 0, PURPOSE_MOVEMENT))
+    execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
 
     state.dyn_field.record_moves([(s, a.pos) for a, s in zip(alive, starts) if a.pos != s])
-    state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, 0, PURPOSE_FIELD))
+    state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, PURPOSE_FIELD))
 
     round_no = t + 1
     for i, (aid, fx, fy, tx, ty) in enumerate(execution.steps):

@@ -1,4 +1,4 @@
-"""Lattice world: cell grid, scenario file parsing and rendering, disc offsets.
+"""Lattice world: cell grid, scenario file parsing, disc offsets.
 
 Grids are row-major numpy arrays indexed ``[y, x]``; positions at the API
 surface are ``(x, y)`` tuples with the origin at the top-left corner.
@@ -17,6 +17,10 @@ WALL, FLOOR, EXIT = 0, 1, 2
 
 _CHAR_KIND = {"W": WALL, ".": FLOOR, "E": EXIT, "a": FLOOR}
 KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
+
+# largest magnitude of a coupling or of w_max: a log weight then stays far inside
+# float64's range, where a larger finite value can overflow it to -inf or NaN mid-run
+MAX_MAGNITUDE = 1e6
 
 # (dx, dy) of the eight king moves; bit k of Grid.steps stands for MOORE_OFFSETS[k]
 MOORE_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
@@ -140,12 +144,11 @@ class AgentProfile:
     def validate(self) -> None:
         if not isinstance(self.v_max, int) or self.v_max < 1:
             raise ValueError(f"v_max must be an integer >= 1, got {self.v_max!r}")
-        for name in ("k_s", "k_i", "k_w", "k_p", "k_e"):
+        for name in ("k_s", "k_d", "k_i", "k_w", "k_p", "k_e"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if not math.isfinite(self.k_d):
-            raise ValueError(f"k_d must be finite, got {self.k_d!r}")
+            low = -MAX_MAGNITUDE if name == "k_d" else 0.0
+            if not low <= v <= MAX_MAGNITUDE:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be in [{low:g}, {MAX_MAGNITUDE:g}], got {v!r}")
         if self.allowed_exits is not None and len(self.allowed_exits) == 0:
             raise ValueError("allowed exit list must not be empty")
 
@@ -160,22 +163,13 @@ class Spawn:
     profile: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ScenarioSpec:
     """Validated scenario: grid, named agent profiles, spawn points."""
 
     grid: Grid
     profiles: dict[str, AgentProfile]
     spawns: tuple[Spawn, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScenarioSpec):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.profiles == other.profiles
-            and self.spawns == other.spawns
-        )
 
 
 @dataclass(frozen=True)
@@ -193,8 +187,8 @@ class SimConfig:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not math.isfinite(self.w_max) or self.w_max < 0:
-            raise ValueError(f"w_max must be finite and >= 0, got {self.w_max}")
+        if not 0.0 <= self.w_max <= MAX_MAGNITUDE:
+            raise ValueError(f"w_max must be in [0, {MAX_MAGNITUDE:g}], got {self.w_max}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.seed < 0:
@@ -349,27 +343,6 @@ def _parse_profile_line(line: str, lineno: int, n_exits: int) -> tuple[str, Agen
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
     return name, profile
-
-
-def render_scenario(spec: ScenarioSpec) -> str:
-    """Render a spec back to scenario text; inverse of parse_scenario."""
-    grid = spec.grid
-    chars = [[KIND_CHAR[int(grid.kind[y, x])] for x in range(grid.width)] for y in range(grid.height)]
-    directives = []
-    for spawn in spec.spawns:
-        if spawn.profile == "default":
-            chars[spawn.y][spawn.x] = "a"
-        else:
-            directives.append(f"agent {spawn.x} {spawn.y} {spawn.profile}")
-    lines = ["".join(row) for row in chars]
-    for name, p in spec.profiles.items():
-        if name == "default" and p == DEFAULT_PROFILE:
-            continue
-        fields = " ".join(f"{key}={getattr(p, attr)}" for key, attr in PROFILE_KEYS.items())
-        exits = "all" if p.allowed_exits is None else ",".join(str(e) for e in p.allowed_exits)
-        lines.append(f"profile {name} {fields} exits={exits}")
-    lines.extend(directives)
-    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,8 @@ sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
 `reference_crowd_counts` is the crowd count as it stood before the box sum:
 eight shifted slices of one padded `int32` array.
+`render_scenario` writes a spec back as scenario text, so the parser's
+round-trip tests can compare `parse_scenario(render_scenario(spec))` to it.
 """
 
 from __future__ import annotations
@@ -152,6 +154,29 @@ def rows_to_text(rows: list[str], directives: list[str] | None = None) -> str:
 def kind_from_rows(rows: list[str]) -> np.ndarray:
     table = {"W": WALL, ".": FLOOR, "E": EXIT}
     return np.array([[table[ch] for ch in row] for row in rows], dtype=np.int8)
+
+
+def render_scenario(spec) -> str:
+    """Render a spec back to scenario text; inverse of parse_scenario."""
+    from evacsim.scenario import DEFAULT_PROFILE, KIND_CHAR, PROFILE_KEYS
+
+    grid = spec.grid
+    chars = [[KIND_CHAR[int(grid.kind[y, x])] for x in range(grid.width)] for y in range(grid.height)]
+    directives = []
+    for spawn in spec.spawns:
+        if spawn.profile == "default":
+            chars[spawn.y][spawn.x] = "a"
+        else:
+            directives.append(f"agent {spawn.x} {spawn.y} {spawn.profile}")
+    lines = ["".join(row) for row in chars]
+    for name, p in spec.profiles.items():
+        if name == "default" and p == DEFAULT_PROFILE:
+            continue
+        fields = " ".join(f"{key}={getattr(p, attr)}" for key, attr in PROFILE_KEYS.items())
+        exits = "all" if p.allowed_exits is None else ",".join(str(e) for e in p.allowed_exits)
+        lines.append(f"profile {name} {fields} exits={exits}")
+    lines.extend(directives)
+    return "\n".join(lines) + "\n"
 
 
 def make_agent(agent_id, pos, v_max=3, exits=(0,), **couplings):

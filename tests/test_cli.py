@@ -6,9 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evacsim.cli import EMIT_CHOICES, main, parse_config_text, UsageError, write_outputs
 from evacsim.engine import run_simulation
@@ -271,3 +274,70 @@ def test_invalid_config_value_rejected_by_validation(tmp_path):
     cfg.write_text("delta=1.5\n")
     status = run_cli("--scenario", CORRIDOR, "--config", str(cfg), "--out", str(tmp_path))
     assert status == 2  # parses as a float, fails SimConfig validation
+
+
+def test_values_that_overflow_a_log_weight_are_status_2(tmp_path):
+    # finite, but -k_S * S(c) is -inf on every candidate, k_I * 0 * inf is NaN, and
+    # k_W * (w_max - W(c)) is -inf: each used to fail mid-run, after --out was made
+    room = pathlib.Path(ROOM).read_text()
+    for i, directive in enumerate(("profile default k_S=1e308", "profile default k_I=1e308")):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text(room + directive + "\n")
+        assert run_cli("--scenario", str(bad), "--out", str(tmp_path / f"r{i}")) == 2
+        assert not (tmp_path / f"r{i}").exists()
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("w_max=1e308\nk_W=2\n")
+    assert run_cli("--scenario", ROOM, "--config", str(cfg), "--out", str(tmp_path / "w")) == 2
+    assert not (tmp_path / "w").exists()
+
+
+# Profile and agent directives over names, keys and values on both sides of every
+# check. Derandomized draws lean to the first entries, so "k_S" and "1e308" lead.
+# No v_max above 7: the speed disc takes memory in proportion to v_max squared.
+NAMES = st.sampled_from(["default", "cautious", "hasty", "p", ""])  # room.txt defines cautious and hasty
+KEYS = st.sampled_from(["k_S", "v_max", "k_D", "k_I", "k_W", "k_P", "k_E", "exits", "speed"])
+VALUES = st.sampled_from(
+    ["1e308", "0", "1", "-1", "2", "7", "0.5", "-0.5", "1e6", "-1e308", "nan", "inf", "x", "", "0,1", "1,", "5", "all"]
+)
+DIRECTIVES = (
+    st.builds(
+        lambda name, fields: " ".join(["profile", name, *(f"{k}={v}" for k, v in fields)]),
+        NAMES,
+        st.lists(st.tuples(KEYS, VALUES), min_size=1, max_size=2),
+    )
+    | st.builds("agent {} {} {}".format, st.integers(-1, 21), st.integers(-1, 21), NAMES)
+    | st.sampled_from(["agent", "profile", "agent 3 3", "% note", ""])
+)
+
+
+@st.composite
+def room_mutants(draw) -> str:
+    """scenarios/room.txt after one to three inserted directives, changed characters or deleted lines."""
+    lines = pathlib.Path(ROOM).read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("insert", "change", "delete")))
+        if op == "insert":  # after the last line half the time, where a directive is in place
+            at = draw(st.just(len(lines)) | st.integers(0, len(lines)))
+            lines.insert(at, draw(DIRECTIVES))
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        else:
+            j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            lines[i] = lines[i][:j] + draw(st.sampled_from("W.Ea %x9-=,")) + lines[i][j + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(room_mutants())
+def test_mutated_scenario_gets_a_status_and_writes_nothing_unless_it_runs(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = pathlib.Path(tmp) / "mutant.txt"
+        scenario.write_text(text)
+        out = pathlib.Path(tmp) / "out"
+        status = run_cli("--scenario", str(scenario), "--max-rounds", "60", "--out", str(out))
+        assert status in (0, 1, 2)
+        assert status == 0 or not out.exists()

@@ -14,6 +14,7 @@ from evacsim.scenario import (
     DEFAULT_PROFILE,
     EXIT,
     FLOOR,
+    MAX_MAGNITUDE,
     MOORE_OFFSETS,
     WALL,
     AgentProfile,
@@ -24,10 +25,9 @@ from evacsim.scenario import (
     Spawn,
     disc_offsets,
     parse_scenario,
-    render_scenario,
 )
 
-from helpers import moore_steps, neighborhood, open_room_rows, random_kind, rows_to_text
+from helpers import moore_steps, neighborhood, open_room_rows, random_kind, render_scenario, rows_to_text
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -174,7 +174,8 @@ def test_parse_rejects_grid_row_after_directives():
 
 def test_parse_rejects_bad_profile_values():
     rows = ["WWWWW", "W...W", "WWWEW"]
-    for bad in ("v_max=0", "v_max=2.5", "k_S=-1", "k_S=nan", "k_I=-0.1", "speed=3"):
+    for bad in ("v_max=0", "v_max=2.5", "k_S=-1", "k_S=nan", "k_I=-0.1", "speed=3",
+                "k_S=1e308", "k_D=-2e6", "k_D=inf", "k_E=1000001"):
         with pytest.raises(ParseError):
             parse_scenario(rows_to_text(rows, [f"profile p {bad}"]))
 
@@ -183,6 +184,8 @@ def test_negative_k_d_is_allowed():
     rows = ["WWWWW", "W...W", "WWWEW"]
     spec = parse_scenario(rows_to_text(rows, ["profile p k_D=-0.5"]))
     assert spec.profiles["p"].k_d == -0.5
+    spec = parse_scenario(rows_to_text(rows, ["profile p k_S=1e6 k_D=-1e6"]))
+    assert (spec.profiles["p"].k_s, spec.profiles["p"].k_d) == (1e6, -1e6)
 
 
 def test_round_trip_through_renderer():
@@ -204,8 +207,8 @@ def test_round_trip_of_bundled_scenarios():
         assert parse_scenario(render_scenario(spec)) == spec
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+FINITE = st.floats(min_value=-MAX_MAGNITUDE, max_value=MAX_MAGNITUDE)
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=MAX_MAGNITUDE)
 
 
 @st.composite
@@ -263,6 +266,9 @@ def test_sim_config_validation():
         SimConfig(w_max=-1)
     with pytest.raises(ValueError):
         SimConfig(w_max=float("inf"))
+    with pytest.raises(ValueError):
+        SimConfig(w_max=1e308)
+    assert SimConfig(w_max=1e6).w_max == 1e6
     with pytest.raises(ValueError):
         SimConfig(max_rounds=0)
     with pytest.raises(ValueError):
