@@ -1,19 +1,25 @@
 """Probabilistic decision levels: per-round exit choice and destination choice.
 
 Every pick reads only the start-of-round state, so both levels are batched
-kernels over all agents. Exit choice reads one (N, E) weight matrix from the
-(E, H, W) stack of exit distances. Destination choice combines five
-influences (distance to exit, trace field, inertia, wall clearance, neighbor
-crowding) in one (rows, K) log-weight matrix per v_max class over the disc
-offsets, in blocks of at most BLOCK_ROWS rows so temporaries stay small.
-Log weights are normalized with max-subtraction before exponentiation, so
-large couplings or trace values cannot overflow.
+kernels over all agents, whose columns each call builds once: tuples by
+`np.fromiter`, profile values from a table of the few distinct profiles that
+agents share. Exit choice reads one (N, E) weight matrix from the (E, H, W)
+stack of exit distances. Destination choice combines five influences
+(distance to exit, trace field, inertia, wall clearance, neighbor crowding)
+in one (rows, K) log-weight matrix per v_max class over the disc offsets, in
+blocks of at most BLOCK_ROWS rows so temporaries stay small. Log weights are
+normalized with max-subtraction before exponentiation, so large couplings or
+trace values cannot overflow. Inertia is read from cached per-(v_max, r)
+tables over last displacements in [-r, r]^2, in the per-agent float order;
+at r = v_max = 10 they take 2.2 MB. The wall field never exceeds w_max, as
+its relaxation starts there, so the wall term is k_W (w_max - W).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -48,24 +54,24 @@ class Agent:
 class DestinationDistribution:
     """Destination law of one block of agents that share a v_max.
 
-    `rows` (n,) index the agent list; `cells` (n, K, 2) are the (x, y) cells
-    of the v_max disc around each agent; `candidate` (n, K) marks the in-grid,
+    `rows` (n,) index the agent list, `origin` (n, 2) holds their cells and
+    `offsets` (K, 2) the v_max disc; `candidate` (n, K) marks the in-grid,
     non-wall cells not held by another agent (the own cell always is one);
     `logw` (n, K) is -inf off the candidates and where the chosen exit cannot
     be reached; `probs` (n, K) is its row softmax.
     """
 
     rows: np.ndarray
-    cells: np.ndarray
+    origin: np.ndarray
+    offsets: np.ndarray
     candidate: np.ndarray
     logw: np.ndarray
     probs: np.ndarray
 
-
-def softmax_from_log(logw: np.ndarray) -> np.ndarray:
-    """exp-normalize log weights along the last axis; invariant under adding any constant."""
-    w = np.exp(logw - np.max(logw, axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    @property
+    def cells(self) -> np.ndarray:
+        """(n, K, 2) (x, y) cells of the disc around each agent."""
+        return self.origin[:, None, :] + self.offsets
 
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -80,10 +86,18 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, last)
 
 
-@lru_cache(maxsize=None)
-def _exit_mask(allowed_exits: tuple[int, ...] | None, n_exits: int) -> tuple[bool, ...]:
-    """One row of the allowed-exit mask; None allows every exit."""
-    return tuple(allowed_exits is None or e in allowed_exits for e in range(n_exits))
+def pair_column(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(n, 2) int64 array of n (a, b) pairs, by np.fromiter: numpy's fast path for a stream of numbers."""
+    return np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+
+
+def _profile_rows(agents: list[Agent]) -> tuple[list[AgentProfile], np.ndarray]:
+    """The distinct profiles of `agents` (by identity) and each agent's index into them."""
+    profiles = [a.profile for a in agents]
+    keys = list(map(id, profiles))
+    distinct = dict(zip(keys, profiles))
+    index = {k: i for i, k in enumerate(distinct)}
+    return list(distinct.values()), np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
 
 
 def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
@@ -93,13 +107,15 @@ def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
     cannot reach weigh zero.
     """
     n_exits = exit_dist.shape[0]
-    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    pos = pair_column([a.pos for a in agents])
     s = exit_dist[:, pos[:, 1], pos[:, 0]].T
-    allowed = np.array([_exit_mask(a.profile.allowed_exits, n_exits) for a in agents], dtype=bool)
-    chosen = np.array([-1 if a.chosen_exit is None else a.chosen_exit for a in agents])
-    k_e = np.array([a.profile.k_e for a in agents], dtype=np.float64)
+    profiles, row = _profile_rows(agents)
+    mask = [[p.allowed_exits is None or e in p.allowed_exits for e in range(n_exits)] for p in profiles]
+    allowed = np.array(mask, dtype=bool).reshape(-1, n_exits)[row]
+    k_e = np.array([p.k_e for p in profiles], dtype=np.float64)[row]
+    chosen = np.fromiter([-1 if a.chosen_exit is None else a.chosen_exit for a in agents], np.int64, len(agents))
     bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
-    usable = allowed.reshape(-1, n_exits) & np.isfinite(s)
+    usable = allowed & np.isfinite(s)
     return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
 
 
@@ -134,14 +150,30 @@ def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _disc_terms(v_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """x and y offsets of the v_max disc, its own-cell mask and each offset's length; read-only."""
-    offsets = disc_offsets(v_max)
-    offx, offy = np.ascontiguousarray(offsets.T)
-    terms = (offx, offy, (offx == 0) & (offy == 0), np.hypot(offx, offy))
+def _disc_terms(v_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and y offsets of the v_max disc and its own-cell mask; read-only."""
+    offx, offy = np.ascontiguousarray(disc_offsets(v_max).T)
+    terms = (offx, offy, (offx == 0) & (offy == 0))
     for a in terms:
         a.setflags(write=False)
     return terms
+
+
+@lru_cache(maxsize=16)
+def _inertia_tables(v_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ((2r+1)^2, K) tables of |v| + |u| and of sin(phi/2), 0 where u or v is zero; row
+    (uy + r) * (2r + 1) + ux + r is the last displacement u, column the offset v."""
+    offx, offy, _ = _disc_terms(v_max)
+    v_next = np.hypot(offx, offy)
+    uy, ux = np.indices((2 * r + 1, 2 * r + 1), dtype=np.float64).reshape(2, -1, 1) - r
+    v_prev = np.hypot(ux, uy)
+    turning = (v_next > 0.0) & (v_prev > 0.0)
+    cos_phi = np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning)
+    sin_half = np.where(turning, np.sqrt((1.0 - np.clip(cos_phi, -1.0, 1.0)) / 2.0), 0.0)
+    tables = (v_next + v_prev, sin_half)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[DestinationDistribution]:
@@ -151,29 +183,30 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
     field, crowd counts, occupancy and `config.w_max`. Every agent needs a
     chosen exit. The log weight of candidate c for an agent at p is
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
-    - k_W max(0, w_max - W(c)) - k_P crowd(c), u being the last displacement
+    - k_W (w_max - W(c)) - k_P crowd(c), u being the last displacement
     and phi the turn angle from u to v = c - p (no inertia term while either
     is zero). A term whose coupling is zero on every row of a block is left
     out: it would add only +-0.0, which changes no probability. The static
     term always stays, as it carries the reachability mask.
     """
-    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
-    profiles = [a.profile for a in agents]
-    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)
-    chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
-    last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
-    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)
+    pos = pair_column([a.pos for a in agents])
+    last = pair_column([a.last_disp for a in agents])
+    chosen = np.fromiter([a.chosen_exit for a in agents], np.int64, len(agents))
+    profiles, row = _profile_rows(agents)
+    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)[row]
+    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)[row]
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
     # fields are read through flat cell indices y * width + x
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
-    for v in sorted(set(v_max.tolist())):
-        offx, offy, own, v_next = _disc_terms(v)
+    for v in sorted({p.v_max for p in profiles}):
+        offx, offy, own = _disc_terms(v)
         of_class = np.nonzero(v_max == v)[0]
         for start in range(0, len(of_class), BLOCK_ROWS):
             rows = of_class[start : start + BLOCK_ROWS]
-            cx = pos[rows, 0, None] + offx
-            cy = pos[rows, 1, None] + offy
+            origin = pos[rows]
+            cx = origin[:, 0, None] + offx
+            cy = origin[:, 1, None] + offy
             inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
             at = np.where(inside, cy * width + cx, 0)
             candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, at))
@@ -189,35 +222,32 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
                 logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
 
             if on_i:
-                ux, uy = last[rows, 0, None], last[rows, 1, None]
-                v_prev = np.hypot(ux, uy)
-                turning = (v_next > 0.0) & (v_prev > 0.0)
-                cos_phi = np.clip(
-                    np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning),
-                    -1.0,
-                    1.0,
-                )
-                sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
-                logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
+                u = last[rows]
+                r = max(v, int(np.abs(u).max()))
+                vsum, sin_half = _inertia_tables(v, r)
+                iu = u @ (1, 2 * r + 1) + r * (2 * r + 2)  # table row of each u
+                logw -= k_i * np.take(vsum, iu, axis=0) * np.take(sin_half, iu, axis=0)
 
             if on_w:
-                w = np.take(state.wall_dist, at)
-                logw -= k_w * np.where(w >= w_max, 0.0, w_max - w)
+                logw -= k_w * (w_max - np.take(state.wall_dist, at))
 
             if on_p:
                 logw -= k_p * np.take(state.counts, at)
 
-            stuck = rows[np.isneginf(logw.max(axis=1))]
+            top = logw.max(axis=1, keepdims=True)
+            stuck = rows[np.isneginf(top[:, 0])]
             if stuck.size:
                 # even the own cell is cut off from the chosen exit
                 a = agents[int(stuck[0])]
                 raise SimulationError(f"agent {a.id} at {a.pos} cannot reach exit {a.chosen_exit}")
+            w = np.exp(logw - top)
             yield DestinationDistribution(
                 rows=rows,
-                cells=np.stack((cx, cy), axis=-1),
+                origin=origin,
+                offsets=disc_offsets(v),
                 candidate=candidate,
                 logw=logw,
-                probs=softmax_from_log(logw),
+                probs=w / w.sum(axis=1, keepdims=True),
             )
 
 
@@ -225,6 +255,5 @@ def choose_destination(agents: list[Agent], state: SimState, u: np.ndarray) -> l
     """Sample every agent's destination cell for this round from `state`, agent i with uniform u[i]."""
     dest = np.empty((len(agents), 2), dtype=np.int64)
     for block in destination_distribution(agents, state):
-        idx = sample_rows(block.probs, u[block.rows])
-        dest[block.rows] = block.cells[np.arange(len(block.rows)), idx]
-    return [(x, y) for x, y in dest.tolist()]
+        dest[block.rows] = block.origin + block.offsets[sample_rows(block.probs, u[block.rows])]
+    return list(map(tuple, dest.tolist()))

@@ -5,7 +5,7 @@ Randomness discipline: every random draw comes from a stream keyed by
 seed. Exit and destination choice each draw one uniform per agent id from a
 single per-round stream, so an agent's draws do not depend on which other
 agents are still in the room. One round models one second; one cell edge is
-0.4 m.
+0.4 m. End-of-round bookkeeping runs on arrays of the agents' final cells.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, exit_weights
+from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, exit_weights, pair_column
 from .dynamic_field import DynamicField
 from .movement import execute_round
-from .scenario import Grid, ScenarioSpec, SimConfig
+from .scenario import EXIT, Grid, ScenarioSpec, SimConfig
 from .static_field import compute_static_field, compute_wall_distance
 
 ROUND_SECONDS = 1.0
@@ -105,9 +105,9 @@ def init_state(
             f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits"
         )
 
+    xs, ys = pair_column([a.pos for a in agents]).T
     occupancy = np.zeros((grid.height, grid.width), dtype=bool)
-    for a in agents:
-        occupancy[a.pos[1], a.pos[0]] = True
+    occupancy[ys, xs] = True
 
     state = SimState(
         grid=grid,
@@ -121,9 +121,8 @@ def init_state(
         counts=crowd_counts(occupancy),
         density=np.zeros((grid.height, grid.width), dtype=np.int64),
     )
-    for a in agents:
-        state.trajectory.append((0, a.id, a.pos[0], a.pos[1]))
-        state.density[a.pos[1], a.pos[0]] += 1
+    state.trajectory.extend([(0, a.id, *a.pos) for a in agents])
+    np.add.at(state.density, (ys, xs), 1)
     state.alive_counts.append(len(agents))
     return state
 
@@ -134,39 +133,42 @@ def run_round(state: SimState) -> None:
     seed = cfg.seed
     t = state.t
     alive = state.alive
-    ids = np.array([a.id for a in alive], dtype=np.int64)
+    ids = np.fromiter([a.id for a in alive], np.int64, len(alive))
     n = len(state.agents)
 
     choose_exit(alive, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
     cells = choose_destination(alive, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
-    destinations = {a.id: c for a, c in zip(alive, cells)}
+    id_list = ids.tolist()
+    destinations = dict(zip(id_list, cells))
 
     starts = [a.pos for a in alive]
     execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
 
-    state.dyn_field.record_moves([(s, a.pos) for a, s in zip(alive, starts) if a.pos != s])
+    ends = [a.pos for a in alive]
+    state.dyn_field.record_moves([(s, e) for s, e in zip(starts, ends) if s != e])
     state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, PURPOSE_FIELD))
 
     round_no = t + 1
-    for i, (aid, fx, fy, tx, ty) in enumerate(execution.steps):
-        state.step_log.append((round_no, i, aid, fx, fy, tx, ty))
-    state.occupancy = np.zeros_like(state.occupancy)
-    remaining = []
-    for a, (sx, sy) in zip(alive, starts):
-        x, y = a.pos
+    state.step_log.extend(
+        [(round_no, i, aid, fx, fy, tx, ty) for i, (aid, fx, fy, tx, ty) in enumerate(execution.steps)]
+    )
+    state.trajectory.extend([(round_no, aid, x, y) for aid, (x, y) in zip(id_list, ends)])
+    for a, (x, y), (sx, sy) in zip(alive, ends, starts):
         a.last_disp = (x - sx, y - sy)
-        state.trajectory.append((round_no, a.id, x, y))
-        state.density[y, x] += 1
-        if state.grid.is_exit(x, y):
-            state.exit_rounds[a.id] = round_no
-            continue
-        if state.occupancy[y, x]:
-            raise SimulationError(f"two agents on cell ({x}, {y}) at the end of round {round_no}")
-        state.occupancy[y, x] = True
-        remaining.append(a)
+    xs, ys = pair_column(ends).T
+    np.add.at(state.density, (ys, xs), 1)
+    out = state.grid.kind[ys, xs] == EXIT
+    state.exit_rounds.update(dict.fromkeys(ids[out].tolist(), round_no))
+    stay = ~out
+    state.occupancy = np.zeros_like(state.occupancy)
+    state.occupancy[ys[stay], xs[stay]] = True
+    if np.count_nonzero(state.occupancy) < np.count_nonzero(stay):
+        held, counts = np.unique(np.stack((xs[stay], ys[stay]), axis=1), axis=0, return_counts=True)
+        cell = tuple(held[counts > 1][0].tolist())
+        raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
-    state.alive = remaining
-    state.alive_counts.append(len(remaining))
+    state.alive = [a for a, gone in zip(alive, out.tolist()) if not gone]
+    state.alive_counts.append(len(state.alive))
     state.t = round_no
 
 

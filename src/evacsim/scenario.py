@@ -22,6 +22,9 @@ KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
 # float64's range, where a larger finite value can overflow it to -inf or NaN mid-run
 MAX_MAGNITUDE = 1e6
 
+# largest v_max in cells per round: 4 m/s, about three times free walking speed
+MAX_V_MAX = 10
+
 # (dx, dy) of the eight king moves; bit k of Grid.steps stands for MOORE_OFFSETS[k]
 MOORE_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
 
@@ -70,9 +73,6 @@ class Grid:
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
-
-    def is_exit(self, x: int, y: int) -> bool:
-        return self.kind[y, x] == EXIT
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
@@ -142,8 +142,8 @@ class AgentProfile:
     allowed_exits: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.v_max, int) or self.v_max < 1:
-            raise ValueError(f"v_max must be an integer >= 1, got {self.v_max!r}")
+        if not isinstance(self.v_max, int) or not 1 <= self.v_max <= MAX_V_MAX:
+            raise ValueError(f"v_max must be an integer in [1, {MAX_V_MAX}], got {self.v_max!r}")
         for name in ("k_s", "k_d", "k_i", "k_w", "k_p", "k_e"):
             v = getattr(self, name)
             low = -MAX_MAGNITUDE if name == "k_d" else 0.0

@@ -9,9 +9,15 @@ The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
 for the package's batched decision kernels, which read a `SimState` built by
 `make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
 disc, from which the destination kernel takes its candidates.
+`reference_exit_weights` and `reference_destination_distribution` are the
+batched decision kernels as they stood before their columns came from a
+profile table: per-agent gathers, and the inertia and wall terms computed per
+block; the kernels must equal them bit for bit. `softmax_from_log` is the
+softmax they use.
 `reference_execute_round` is the movement phase as it stood before the token
 loop went flat: id-keyed dicts, an (H, W) `blocked` array and per-token
-numpy reads, consuming the same draws.
+numpy reads, consuming the same draws. Its tokens, like the package's, are
+laid out in ascending id before the shuffle.
 `reference_update_component` is the trace update as it stood before it went
 sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
@@ -310,6 +316,89 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
     return state
 
 
+# ------------------------------------------------------ decision kernel oracles
+
+def softmax_from_log(logw: np.ndarray) -> np.ndarray:
+    """exp-normalize log weights along the last axis; invariant under adding any constant."""
+    w = np.exp(logw - np.max(logw, axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def reference_exit_weights(agents, exit_dist: np.ndarray) -> np.ndarray:
+    """The batched exit kernel with per-agent gathers: (N, E) weights."""
+    n_exits = exit_dist.shape[0]
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    s = exit_dist[:, pos[:, 1], pos[:, 0]].T
+    allowed = np.array(
+        [[a.profile.allowed_exits is None or e in a.profile.allowed_exits for e in range(n_exits)] for a in agents],
+        dtype=bool,
+    )
+    chosen = np.array([-1 if a.chosen_exit is None else a.chosen_exit for a in agents])
+    k_e = np.array([a.profile.k_e for a in agents], dtype=np.float64)
+    bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
+    usable = allowed.reshape(-1, n_exits) & np.isfinite(s)
+    return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
+
+
+def reference_destination_distribution(agents, state):
+    """The batched destination kernel with per-agent gathers and the inertia and wall terms
+    computed per block: the same blocks as `destination_distribution`, each a namespace of
+    rows, cells (n, K, 2), candidate, logw and probs."""
+    from evacsim import decision
+    from evacsim.scenario import disc_offsets
+
+    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    profiles = [a.profile for a in agents]
+    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)
+    chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
+    last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
+    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)
+    width, height = state.grid.width, state.grid.height
+    w_max = state.config.w_max
+    flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
+    for v in sorted(set(v_max.tolist())):
+        offx, offy = disc_offsets(v).T
+        own = (offx == 0) & (offy == 0)
+        v_next = np.hypot(offx, offy)
+        of_class = np.nonzero(v_max == v)[0]
+        for start in range(0, len(of_class), decision.BLOCK_ROWS):
+            rows = of_class[start : start + decision.BLOCK_ROWS]
+            cx = pos[rows, 0, None] + offx
+            cy = pos[rows, 1, None] + offy
+            inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
+            at = np.where(inside, cy * width + cx, 0)
+            candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, at))
+            k_rows = k[rows]
+            _, on_d, on_i, on_w, on_p = k_rows.any(axis=0).tolist()
+            k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k_rows.T)
+
+            s = flat_dist[chosen[rows, None], at]
+            reachable = candidate & np.isfinite(s)
+            logw = np.where(reachable, -k_s * np.where(reachable, s, 0.0), -np.inf)
+            if on_d:
+                logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
+            if on_i:
+                ux, uy = last[rows, 0, None], last[rows, 1, None]
+                v_prev = np.hypot(ux, uy)
+                turning = (v_next > 0.0) & (v_prev > 0.0)
+                cos_phi = np.clip(
+                    np.divide(ux * offx + uy * offy, v_next * v_prev, out=np.zeros(turning.shape), where=turning),
+                    -1.0,
+                    1.0,
+                )
+                sin_half = np.sqrt((1.0 - cos_phi) / 2.0)
+                logw -= np.where(turning, k_i * (v_next + v_prev) * sin_half, 0.0)
+            if on_w:
+                w = np.take(state.wall_dist, at)
+                logw -= k_w * np.where(w >= w_max, 0.0, w_max - w)
+            if on_p:
+                logw -= k_p * np.take(state.counts, at)
+            yield SimpleNamespace(
+                rows=rows, cells=np.stack((cx, cy), axis=-1), candidate=candidate, logw=logw,
+                probs=softmax_from_log(logw),
+            )
+
+
 # ------------------------------------------------------- movement oracle
 
 def _reference_execute_step(pos, dest, grid, blocked: np.ndarray, rng, start):
@@ -355,7 +444,8 @@ def _reference_execute_step(pos, dest, grid, blocked: np.ndarray, rng, start):
 
 
 def reference_execute_round(agents, destinations, grid, rng):
-    """The movement phase with id-keyed tokens; mutates `a.pos` step by step.
+    """The movement phase with id-keyed tokens, laid out in ascending id before the shuffle;
+    mutates `a.pos` step by step.
 
     Returns the step log as (id, fx, fy, tx, ty) rows.
     """
@@ -370,8 +460,8 @@ def reference_execute_round(agents, destinations, grid, rng):
     by_id = {a.id: a for a in agents}
     finished: set[int] = set()
 
-    ids = np.asarray([a.id for a in agents], dtype=np.int64)
-    reps = [chebyshev(a.pos, destinations[a.id]) for a in agents]
+    ids = np.asarray(sorted(by_id), dtype=np.int64)
+    reps = [chebyshev(by_id[aid].pos, destinations[aid]) for aid in sorted(by_id)]
     seq = np.repeat(ids, reps)
     rng.shuffle(seq)
 

@@ -291,9 +291,25 @@ def test_values_that_overflow_a_log_weight_are_status_2(tmp_path):
     assert not (tmp_path / "w").exists()
 
 
+def test_v_max_beyond_the_bound_is_status_2(tmp_path):
+    # the speed disc and the inertia tables grow with v_max squared; an unbounded
+    # v_max used to pass validation and then need terabytes after --out was made
+    room = pathlib.Path(ROOM).read_text()
+    for v_max in (11, 100000):
+        bad = tmp_path / f"bad{v_max}.txt"
+        bad.write_text(room + f"profile default v_max={v_max}\n")
+        assert run_cli("--scenario", str(bad), "--out", str(tmp_path / f"s{v_max}")) == 2
+        cfg = tmp_path / f"fast{v_max}.cfg"
+        cfg.write_text(f"v_max={v_max}\n")
+        assert run_cli("--scenario", ROOM, "--config", str(cfg), "--out", str(tmp_path / f"c{v_max}")) == 2
+        assert not (tmp_path / f"s{v_max}").exists() and not (tmp_path / f"c{v_max}").exists()
+    cfg = tmp_path / "fastest.cfg"
+    cfg.write_text("v_max=10\n")
+    assert run_cli("--scenario", ROOM, "--config", str(cfg), "--max-rounds", "3", "--out", str(tmp_path / "ok")) == 0
+
+
 # Profile and agent directives over names, keys and values on both sides of every
 # check. Derandomized draws lean to the first entries, so "k_S" and "1e308" lead.
-# No v_max above 7: the speed disc takes memory in proportion to v_max squared.
 NAMES = st.sampled_from(["default", "cautious", "hasty", "p", ""])  # room.txt defines cautious and hasty
 KEYS = st.sampled_from(["k_S", "v_max", "k_D", "k_I", "k_W", "k_P", "k_E", "exits", "speed"])
 VALUES = st.sampled_from(

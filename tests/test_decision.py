@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -19,10 +19,9 @@ from evacsim.decision import (
     crowd_counts,
     destination_distribution,
     exit_weights,
-    softmax_from_log,
 )
 from evacsim.dynamic_field import DynamicField
-from evacsim.scenario import AgentProfile
+from evacsim.scenario import FLOOR, AgentProfile
 
 from helpers import (
     agent_distribution,
@@ -36,7 +35,11 @@ from helpers import (
     make_state,
     neighborhood,
     open_room_rows,
+    random_kind,
     reference_crowd_counts,
+    reference_destination_distribution,
+    reference_exit_weights,
+    softmax_from_log,
 )
 
 LN2 = math.log(2.0)
@@ -504,3 +507,70 @@ def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
                         assert math.isclose(lw, logw_total(a, c, state), rel_tol=0, abs_tol=1e-12), zeroed
                 assert abs(block.probs[i].sum() - 1.0) <= 1e-12
         assert sorted(seen) == list(range(len(agents)))
+
+
+@st.composite
+def kernel_worlds(draw):
+    """A walled grid with agents of v_max 1-5 in shared profiles, each of them able to
+    reach its chosen exit, last displacements beyond the speed disc, allowed-exit
+    subsets, and per class a coupling that is zero on all of its profiles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = random_kind(rng, max_side=14)
+    state = make_state(["".join("W.E"[c] for c in row) for row in kind], w_max=float(rng.uniform(0.5, 4.0)))
+    n_exits = state.grid.n_exits
+    reach = np.isfinite(state.exit_dist)
+    floors = [(int(x), int(y)) for y, x in np.argwhere((kind == FLOOR) & reach.any(axis=0))]
+    assume(floors)
+    profiles = []
+    for v in range(1, 6):
+        off = {name for name in ("k_d", "k_i", "k_w", "k_p") if rng.random() < 0.3}
+        for _ in range(int(rng.integers(1, 3))):
+            couplings = {
+                "k_s": float(rng.uniform(0, 3)), "k_d": float(rng.uniform(-2, 2)), "k_i": float(rng.uniform(0, 2)),
+                "k_w": float(rng.uniform(0, 2)), "k_p": float(rng.uniform(0, 2)), "k_e": float(rng.uniform(0, 2)),
+            }
+            couplings.update({name: 0.0 for name in off})
+            exits = None
+            if rng.random() < 0.7:
+                exits = tuple(sorted({int(e) for e in rng.integers(0, n_exits, size=int(rng.integers(1, 3)))}))
+            profiles.append(AgentProfile(v_max=v, allowed_exits=exits, **couplings))
+    n = int(rng.integers(1, len(floors) + 1))
+    cells = [floors[i] for i in rng.choice(len(floors), size=n, replace=False)]
+    agents = []
+    for aid, (x, y) in zip(rng.choice(3 * n, size=n, replace=False).tolist(), cells):
+        profile = profiles[int(rng.integers(len(profiles)))]
+        usable = [e for e in (profile.allowed_exits or range(n_exits)) if reach[e, y, x]]
+        if not usable:
+            continue
+        a = Agent(id=aid, pos=(x, y), profile=profile, chosen_exit=usable[int(rng.integers(len(usable)))])
+        span = 2 * profile.v_max + 1
+        a.last_disp = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
+        agents.append(a)
+    assume(agents)
+    for x, y in (a.pos for a in agents):
+        state.occupancy[y, x] = True
+    state.counts = crowd_counts(state.occupancy)
+    state.dyn_field.dx[:] = rng.integers(-5, 6, state.dyn_field.dx.shape)
+    state.dyn_field.dy[:] = rng.integers(-5, 6, state.dyn_field.dy.shape)
+    return agents, state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kernel_worlds(), st.sampled_from([3, decision.BLOCK_ROWS]))
+def test_kernels_equal_the_gather_oracle_bit_for_bit(world, block_rows):
+    agents, state = world
+    held = [a.chosen_exit for a in agents]
+    assert np.array_equal(exit_weights(agents, state.exit_dist), reference_exit_weights(agents, state.exit_dist))
+    for a in agents[::2]:
+        a.chosen_exit = None
+    assert np.array_equal(exit_weights(agents, state.exit_dist), reference_exit_weights(agents, state.exit_dist))
+    for a, e in zip(agents, held):
+        a.chosen_exit = e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decision, "BLOCK_ROWS", block_rows)
+        blocks = list(destination_distribution(agents, state))
+        oracle = list(reference_destination_distribution(agents, state))
+    assert len(blocks) == len(oracle)
+    for block, ref in zip(blocks, oracle):
+        for name in ("rows", "cells", "candidate", "logw", "probs"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name)), name

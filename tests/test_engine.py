@@ -14,20 +14,21 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim import cli, engine
-from evacsim.decision import SimulationError, choose_destination, choose_exit, crowd_counts
+from evacsim.decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts
 from evacsim.engine import (
     PURPOSE_DESTINATION,
     PURPOSE_EXIT,
+    PURPOSE_MOVEMENT,
     derive_stream,
     init_state,
     run_round,
     run_simulation,
 )
-from evacsim.movement import RoundExecution
+from evacsim.movement import RoundExecution, execute_round
 from evacsim.scenario import DEFAULT_PROFILE, FLOOR, AgentProfile, Grid, ScenarioSpec, SimConfig, Spawn, parse_scenario
 from evacsim.static_field import compute_static_field
 
-from helpers import open_room_rows, random_kind, rows_to_text
+from helpers import chebyshev, open_room_rows, random_kind, reference_execute_round, rows_to_text
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -325,8 +326,37 @@ def test_exit_and_destination_choice_ignore_the_order_of_the_agent_list():
         assert choose([alive[i] for i in rng.permutation(len(alive))]) == expected
 
 
+def test_movement_ignores_the_order_of_the_agent_list():
+    # step tokens are laid out by agent id before the shuffle, so a permuted list
+    # moves every agent the same way; the id-keyed reference agrees
+    state = init_state(load("room"), SimConfig(seed=3))
+    for _ in range(2):
+        run_round(state)
+    alive = state.alive
+    n = len(state.agents)
+    ids = [a.id for a in alive]
+    choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
+    cells = choose_destination(alive, state, derive_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
+    destinations = dict(zip(ids, cells))
+    assert sum(chebyshev(a.pos, destinations[a.id]) for a in alive) > len(alive)
+
+    def move(agents, execute):
+        twins = [Agent(id=a.id, pos=a.pos, profile=a.profile) for a in agents]
+        steps = execute(twins, destinations, state.grid, derive_stream(3, 2, PURPOSE_MOVEMENT))
+        return {a.id: a.pos for a in twins}, steps
+
+    def flat(*args):
+        return execute_round(*args).steps
+
+    expected = move(alive, reference_execute_round)
+    assert move(alive, flat) == expected
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        assert move([alive[i] for i in rng.permutation(len(alive))], flat) == expected
+
+
 def test_alive_list_stays_in_ascending_id_order():
-    # movement hands out step tokens in list order, so a run reproduces only while this holds
+    # the trajectory lists each round's agents in list order, so its bytes rest on this order
     for seed in range(3):
         state = init_state(load("room"), SimConfig(seed=seed))
         while state.alive and state.t < state.config.max_rounds:

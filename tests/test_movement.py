@@ -12,6 +12,7 @@ from evacsim.movement import (
     build_step_sequence,
     execute_round,
     execute_step,
+    step_moves,
 )
 from evacsim.scenario import FLOOR, Grid
 
@@ -20,6 +21,14 @@ from helpers import chebyshev, kind_from_rows, make_agent, neighborhood, random_
 
 def open_grid(w: int, h: int) -> Grid:
     return Grid.from_kind(np.full((h, w), FLOOR, dtype=np.int8))
+
+
+def step(grid: Grid, pos, dest, blocked: bytearray, rng, start):
+    """`execute_step` from (x, y) cells, with its precomputed arguments built here."""
+    (x, y), (tx, ty), (sx, sy) = pos, dest, start
+    at = y * grid.width + x
+    goal = (tx, ty, sx, sy, (tx - sx) ** 2 + (ty - sy) ** 2)
+    return execute_step(x, y, at, goal, step_moves(grid.width)[grid.steps[y, x]], blocked, rng)
 
 
 def test_chebyshev():
@@ -59,7 +68,7 @@ def test_step_moves_to_unique_minimizer():
     g = open_grid(6, 6)
     blocked = bytearray(36)
     blocked[0] = 1
-    new = execute_step((0, 0), (3, 0), g.steps.tobytes(), 6, blocked, np.random.default_rng(0), (0, 0))
+    new = step(g, (0, 0), (3, 0), blocked, np.random.default_rng(0), (0, 0))
     assert new == (1, 0)
     assert blocked[1]
 
@@ -73,7 +82,7 @@ def test_step_tie_is_uniform():
         blocked = bytearray(36)
         blocked[0] = 1
         blocked[1 * 6 + 1] = 1  # the direct diagonal
-        new = execute_step((0, 0), (2, 2), g.steps.tobytes(), 6, blocked, rng, (0, 0))
+        new = step(g, (0, 0), (2, 2), blocked, rng, (0, 0))
         picks[new] += 1
     assert set(picks) == {(1, 0), (0, 1)}
     sigma = math.sqrt(0.25 / n)
@@ -84,13 +93,13 @@ def test_step_requires_strict_improvement():
     g = open_grid(6, 6)
     blocked = bytearray(36)
     # standing on the destination: no neighbor is closer than distance 0
-    assert execute_step((2, 2), (2, 2), g.steps.tobytes(), 6, blocked, np.random.default_rng(0), (2, 2)) is None
+    assert step(g, (2, 2), (2, 2), blocked, np.random.default_rng(0), (2, 2)) is None
 
 
 def test_step_finished_when_surrounded():
     g = open_grid(5, 5)
     blocked = bytearray(b"\x01" * 25)
-    assert execute_step((2, 2), (4, 2), g.steps.tobytes(), 5, blocked, np.random.default_rng(0), (2, 2)) is None
+    assert step(g, (2, 2), (4, 2), blocked, np.random.default_rng(0), (2, 2)) is None
 
 
 def test_round_walks_to_destination_on_open_floor():

@@ -56,7 +56,7 @@ def test_parse_rejects_all_wall_and_exit_map():
 
 def test_exit_allowed_on_boundary():
     spec = parse_scenario("WWWWW\nW...E\nWWWWW\n")
-    assert spec.grid.is_exit(4, 1)
+    assert spec.grid.kind[1, 4] == EXIT
 
 
 def test_two_disconnected_exit_regions_get_ids_0_and_1():
@@ -175,7 +175,7 @@ def test_parse_rejects_grid_row_after_directives():
 def test_parse_rejects_bad_profile_values():
     rows = ["WWWWW", "W...W", "WWWEW"]
     for bad in ("v_max=0", "v_max=2.5", "k_S=-1", "k_S=nan", "k_I=-0.1", "speed=3",
-                "k_S=1e308", "k_D=-2e6", "k_D=inf", "k_E=1000001"):
+                "k_S=1e308", "k_D=-2e6", "k_D=inf", "k_E=1000001", "v_max=11", "v_max=100000"):
         with pytest.raises(ParseError):
             parse_scenario(rows_to_text(rows, [f"profile p {bad}"]))
 
@@ -184,8 +184,8 @@ def test_negative_k_d_is_allowed():
     rows = ["WWWWW", "W...W", "WWWEW"]
     spec = parse_scenario(rows_to_text(rows, ["profile p k_D=-0.5"]))
     assert spec.profiles["p"].k_d == -0.5
-    spec = parse_scenario(rows_to_text(rows, ["profile p k_S=1e6 k_D=-1e6"]))
-    assert (spec.profiles["p"].k_s, spec.profiles["p"].k_d) == (1e6, -1e6)
+    spec = parse_scenario(rows_to_text(rows, ["profile p k_S=1e6 k_D=-1e6 v_max=10"]))
+    assert (spec.profiles["p"].k_s, spec.profiles["p"].k_d, spec.profiles["p"].v_max) == (1e6, -1e6, 10)
 
 
 def test_round_trip_through_renderer():
