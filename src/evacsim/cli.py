@@ -14,10 +14,12 @@ import re
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .decision import SimulationError
 from .engine import ROUND_SECONDS, SimResult, init_state, run_simulation
 from .scenario import (
-    KIND_CHAR, PROFILE_KEYS, Grid, ParseError, ScenarioSpec, SimConfig, parse_scenario, profile_field,
+    KIND_CHAR, PROFILE_KEYS, ParseError, SimConfig, parse_scenario, profile_field,
 )
 
 EMIT_CHOICES = ("trajectories", "summary", "heatmap", "snapshots", "steplog")
@@ -78,34 +80,26 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
     return sim_kwargs, profile_kwargs
 
 
-def render_snapshot(grid: Grid, positions: list[tuple[int, int]]) -> str:
-    """ASCII map of one round: walls, floor, exits, agents as 'o'."""
-    chars = [[KIND_CHAR[k] for k in row] for row in grid.kind.tolist()]
-    for x, y in positions:
-        chars[y][x] = "o"
-    return "\n".join("".join(row) for row in chars) + "\n"
+def _table_text(header: str, table: np.ndarray, sep: str) -> str:
+    """The header line, then one line per row of an integer table, its values joined by `sep`."""
+    line = sep.join(["%d"] * table.shape[1]) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def heatmap_bytes(result: SimResult) -> str:
     """Cumulative visit counts rescaled to 0..255, PGM P2 text."""
-    density = result.density
-    peak = int(density.max())
-    scaled = density if peak == 0 else density * 255 // peak
-    h, w = scaled.shape
-    lines = ["P2", f"{w} {h}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in scaled.tolist())
-    return "\n".join(lines) + "\n"
+    peak = int(result.density.max())
+    scaled = result.density if peak == 0 else result.density * 255 // peak
+    return _table_text(f"P2\n{scaled.shape[1]} {scaled.shape[0]}\n255", scaled, " ")
 
 
 def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
     seed = result.seed
     if "trajectories" in emit:
-        lines = ["round,agent_id,x,y"]
-        lines += [f"{r},{aid},{x},{y}" for r, aid, x, y in result.trajectory]
-        _write_text(os.path.join(out_dir, f"trajectories_{seed}.csv"), "\n".join(lines) + "\n")
+        text = _table_text("round,agent_id,x,y", result.trajectory, ",")
+        _write_text(os.path.join(out_dir, f"trajectories_{seed}.csv"), text)
     if "summary" in emit:
-        rounds = result.evacuation_rounds
-        seconds = result.evacuation_seconds
+        rounds, seconds = result.evacuation_rounds, result.evacuation_seconds
         text = (
             f"evacuation_rounds={'none' if rounds is None else rounds}\n"
             f"agents_total={result.agents_total}\n"
@@ -118,22 +112,24 @@ def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
     if "snapshots" in emit:
         snap_dir = os.path.join(out_dir, f"snapshots_{seed}")
         os.makedirs(snap_dir, exist_ok=True)
-        by_round: dict[int, list[tuple[int, int]]] = {}
-        for r, _aid, x, y in result.trajectory:
-            by_round.setdefault(r, []).append((x, y))
-        last = max(by_round) if by_round else 0
+        rounds, _, xs, ys = result.trajectory.T
+        last = int(rounds[-1]) if len(rounds) else 0
         # a longer earlier run into the same directory left maps past this run's end
         for name in os.listdir(snap_dir):
             m = _SNAPSHOT_NAME.fullmatch(name)
             if m and int(m[1]) > last:
                 os.remove(os.path.join(snap_dir, name))
-        for r in range(last + 1):
-            text = render_snapshot(result.grid, by_round.get(r, []))
-            _write_text(os.path.join(snap_dir, f"round_{r:04d}.txt"), text)
+        chars = np.frombuffer("".join(map(KIND_CHAR.get, range(len(KIND_CHAR)))).encode(), dtype=np.uint8)
+        page = np.full((result.grid.height, result.grid.width + 1), ord("\n"), dtype=np.uint8)
+        page[:, :-1] = chars[result.grid.kind]
+        bounds = np.searchsorted(rounds, np.arange(last + 2)).tolist()
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            snapshot = page.copy()
+            snapshot[ys[lo:hi], xs[lo:hi]] = ord("o")
+            _write_text(os.path.join(snap_dir, f"round_{r:04d}.txt"), snapshot.tobytes().decode())
     if "steplog" in emit:
-        lines = ["round step agent from_x from_y to_x to_y"]
-        lines += [" ".join(str(v) for v in row) for row in result.step_log]
-        _write_text(os.path.join(out_dir, f"steplog_{seed}.txt"), "\n".join(lines) + "\n")
+        text = _table_text("round step agent from_x from_y to_x to_y", result.step_log, " ")
+        _write_text(os.path.join(out_dir, f"steplog_{seed}.txt"), text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -169,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("--max-rounds must be >= 1")
 
         scenario_text = _read_text(args.scenario, "scenario")
-        sim_kwargs: dict = {}
-        profile_kwargs: dict = {}
-        if args.config:
-            sim_kwargs, profile_kwargs = parse_config_text(_read_text(args.config, "config"))
+        sim_kwargs, profile_kwargs = parse_config_text(_read_text(args.config, "config")) if args.config else ({}, {})
         if args.max_rounds is not None:
             sim_kwargs["max_rounds"] = args.max_rounds
     except UsageError as exc:
@@ -184,9 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         if profile_kwargs:
             default = replace(spec.profiles["default"], **profile_kwargs)
             default.validate()
-            profiles = dict(spec.profiles)
-            profiles["default"] = default
-            spec = ScenarioSpec(grid=spec.grid, profiles=profiles, spawns=spec.spawns)
+            spec = replace(spec, profiles={**spec.profiles, "default": default})
         base_config = SimConfig(seed=args.seed, **sim_kwargs)
         first = init_state(spec, base_config)  # reachability check before any writes
     except (ParseError, ValueError, SimulationError) as exc:
@@ -227,9 +218,7 @@ def _parse_emit(raw: str) -> set[str]:
     emit = {item.strip() for item in raw.split(",") if item.strip()}
     unknown = emit.difference(EMIT_CHOICES)
     if unknown:
-        raise UsageError(
-            f"unknown --emit value(s) {sorted(unknown)}; choose from {','.join(EMIT_CHOICES)}"
-        )
+        raise UsageError(f"unknown --emit value(s) {sorted(unknown)}; choose from {','.join(EMIT_CHOICES)}")
     return emit
 
 

@@ -68,11 +68,6 @@ class DestinationDistribution:
     logw: np.ndarray
     probs: np.ndarray
 
-    @property
-    def cells(self) -> np.ndarray:
-        """(n, K, 2) (x, y) cells of the disc around each agent."""
-        return self.origin[:, None, :] + self.offsets
-
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of one column per row of normalized probabilities (n, K).
@@ -251,9 +246,9 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
             )
 
 
-def choose_destination(agents: list[Agent], state: SimState, u: np.ndarray) -> list[tuple[int, int]]:
-    """Sample every agent's destination cell for this round from `state`, agent i with uniform u[i]."""
+def choose_destination(agents: list[Agent], state: SimState, u: np.ndarray) -> np.ndarray:
+    """Sample every agent's (x, y) destination this round from `state`, agent i with uniform u[i]; (n, 2) int64."""
     dest = np.empty((len(agents), 2), dtype=np.int64)
     for block in destination_distribution(agents, state):
         dest[block.rows] = block.origin + block.offsets[sample_rows(block.probs, u[block.rows])]
-    return list(map(tuple, dest.tolist()))
+    return dest

@@ -14,8 +14,6 @@ numpy draws nothing for a zero count, so they equal the whole-grid draws.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .scenario import WALL, Grid
@@ -36,8 +34,8 @@ class DynamicField:
         self._neighbor = np.stack(shifted, axis=1)  # (h*w, 4) von Neumann targets
 
     def record_moves(self, moves) -> None:
-        """Add each ((from_x, from_y), (to_x, to_y)) move's net displacement at its start cell."""
-        fx, fy, tx, ty = np.fromiter(chain.from_iterable(chain.from_iterable(moves)), np.int64).reshape(-1, 4).T
+        """Add each (from_x, from_y, to_x, to_y) row's net displacement at its start cell; pairs of pairs do too."""
+        fx, fy, tx, ty = np.asarray(moves, dtype=np.int64).reshape(-1, 4).T
         np.add.at(self.dx, (fy, fx), tx - fx)
         np.add.at(self.dy, (fy, fx), ty - fy)
 
@@ -46,9 +44,7 @@ class DynamicField:
         self.dx = self._update_component(self.dx, delta, alpha, rng)
         self.dy = self._update_component(self.dy, delta, alpha, rng)
 
-    def _update_component(
-        self, comp: np.ndarray, delta: float, alpha: float, rng: np.random.Generator
-    ) -> np.ndarray:
+    def _update_component(self, comp: np.ndarray, delta: float, alpha: float, rng: np.random.Generator) -> np.ndarray:
         # a call on counts that are all zero would draw nothing, so it is skipped
         cells = np.flatnonzero(comp != 0)  # numpy scans bool far faster than int64
         if not cells.size:

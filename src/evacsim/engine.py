@@ -5,7 +5,9 @@ Randomness discipline: every random draw comes from a stream keyed by
 seed. Exit and destination choice each draw one uniform per agent id from a
 single per-round stream, so an agent's draws do not depend on which other
 agents are still in the room. One round models one second; one cell edge is
-0.4 m. End-of-round bookkeeping runs on arrays of the agents' final cells.
+0.4 m. End-of-round bookkeeping runs on arrays of the agents' final cells, and
+a round records integer columns, not tuples: its agents' ids and end cells and
+its step rows, which the finished run joins into its tables.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class SimState:
     `agents` lists every agent by id, `alive` the ones still in the room.
     `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
     the (H, W) wall distance clamped to `config.w_max`; both are read-only.
+    Round r records its agents' ids and end (x, y) (round 0: the spawns) and its step rows in
+    `round_ids[r]`, `round_cells[r]` and `round_steps[r - 1]`.
     """
 
     grid: Grid
@@ -54,31 +58,32 @@ class SimState:
     counts: np.ndarray
     density: np.ndarray
     t: int = 0
-    trajectory: list[tuple[int, int, int, int]] = field(default_factory=list)
-    step_log: list[tuple[int, int, int, int, int, int, int]] = field(default_factory=list)
+    round_ids: list[np.ndarray] = field(default_factory=list)
+    round_cells: list[np.ndarray] = field(default_factory=list)
+    round_steps: list[np.ndarray] = field(default_factory=list)
     alive_counts: list[int] = field(default_factory=list)
     exit_rounds: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
 class SimResult:
-    """Observables of one finished run."""
+    """Observables of one finished run. `trajectory` is the (n, 4) int64 table of (round, agent, x, y),
+    round 0 the spawn, each round by ascending id; `step_log` the (n, 7) int64 table of (round, step,
+    agent, from_x, from_y, to_x, to_y), `step` counting each round's steps from 0."""
 
     evacuation_rounds: int | None
     agents_total: int
     seed: int
     alive_counts: list[int]
     exit_rounds: dict[int, int]
-    trajectory: list[tuple[int, int, int, int]]
+    trajectory: np.ndarray
     density: np.ndarray
-    step_log: list[tuple[int, int, int, int, int, int, int]]
+    step_log: np.ndarray
     grid: Grid
 
     @property
     def evacuation_seconds(self) -> float | None:
-        if self.evacuation_rounds is None:
-            return None
-        return self.evacuation_rounds * ROUND_SECONDS
+        return None if self.evacuation_rounds is None else self.evacuation_rounds * ROUND_SECONDS
 
 
 def init_state(
@@ -101,11 +106,10 @@ def init_state(
     stuck = np.flatnonzero(~exit_weights(agents, exit_dist).any(axis=1))
     if stuck.size:
         a = agents[int(stuck[0])]
-        raise SimulationError(
-            f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits"
-        )
+        raise SimulationError(f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits")
 
-    xs, ys = pair_column([a.pos for a in agents]).T
+    pos = pair_column([a.pos for a in agents])
+    xs, ys = pos.T
     occupancy = np.zeros((grid.height, grid.width), dtype=bool)
     occupancy[ys, xs] = True
 
@@ -121,7 +125,8 @@ def init_state(
         counts=crowd_counts(occupancy),
         density=np.zeros((grid.height, grid.width), dtype=np.int64),
     )
-    state.trajectory.extend([(0, a.id, *a.pos) for a in agents])
+    state.round_ids.append(np.arange(len(agents)))
+    state.round_cells.append(pos)
     np.add.at(state.density, (ys, xs), 1)
     state.alive_counts.append(len(agents))
     return state
@@ -137,25 +142,20 @@ def run_round(state: SimState) -> None:
     n = len(state.agents)
 
     choose_exit(alive, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
-    cells = choose_destination(alive, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
-    id_list = ids.tolist()
-    destinations = dict(zip(id_list, cells))
+    destinations = np.zeros((n, 2), dtype=np.int64)
+    destinations[ids] = choose_destination(alive, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
+    moved = execute_round(alive, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
 
-    starts = [a.pos for a in alive]
-    execution = execute_round(alive, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
-
-    ends = [a.pos for a in alive]
-    state.dyn_field.record_moves([(s, e) for s, e in zip(starts, ends) if s != e])
+    state.dyn_field.record_moves(np.concatenate((moved.start, moved.end), axis=1))
     state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, PURPOSE_FIELD))
 
     round_no = t + 1
-    state.step_log.extend(
-        [(round_no, i, aid, fx, fy, tx, ty) for i, (aid, fx, fy, tx, ty) in enumerate(execution.steps)]
-    )
-    state.trajectory.extend([(round_no, aid, x, y) for aid, (x, y) in zip(id_list, ends)])
-    for a, (x, y), (sx, sy) in zip(alive, ends, starts):
-        a.last_disp = (x - sx, y - sy)
-    xs, ys = pair_column(ends).T
+    state.round_ids.append(ids)
+    state.round_cells.append(moved.end)
+    state.round_steps.append(moved.steps)
+    for a, disp in zip(alive, zip(*(moved.end - moved.start).T.tolist())):
+        a.last_disp = disp
+    xs, ys = moved.end.T
     np.add.at(state.density, (ys, xs), 1)
     out = state.grid.kind[ys, xs] == EXIT
     state.exit_rounds.update(dict.fromkeys(ids[out].tolist(), round_no))
@@ -180,14 +180,31 @@ def run_simulation(
     while state.alive_counts[-1] and state.t < config.max_rounds:
         run_round(state)
     evacuated = not state.alive_counts[-1]
+    trajectory, step_log = record_tables(state)
     return SimResult(
         evacuation_rounds=state.t if evacuated else None,
         agents_total=len(state.agents),
         seed=config.seed,
         alive_counts=state.alive_counts,
         exit_rounds=state.exit_rounds,
-        trajectory=state.trajectory,
+        trajectory=trajectory,
         density=state.density,
-        step_log=state.step_log,
+        step_log=step_log,
         grid=state.grid,
     )
+
+
+def record_tables(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """The trajectory and step-log tables (see `SimResult`) of the rounds recorded in `state`, filled in place."""
+    sizes = [len(ids) for ids in state.round_ids]
+    trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
+    trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    np.concatenate(state.round_ids, out=trajectory[:, 1])
+    np.concatenate(state.round_cells, out=trajectory[:, 2:])
+    counts = np.array([len(s) for s in state.round_steps], dtype=np.int64)
+    step_log = np.empty((counts.sum(), 7), dtype=np.int64)
+    step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
+    step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
+    np.concatenate([np.empty((0, 3), dtype=np.int64), *state.round_steps], out=step_log[:, 2:5])
+    step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], state.grid.width)[::-1]
+    return trajectory, step_log

@@ -13,15 +13,22 @@ destination was drawn from. A cell occupied at any moment of a round stays
 blocked until the round ends, so agents consume the space along their paths,
 not just their endpoints.
 
-The token loop reads no numpy element: step bits, blocking and the
-exclusion check are flat byte maps indexed `y * width + x`, a cell's moves
-come from a per-width table, and each row's radius is computed once.
-Positions are a list by row, written back to the agents when the round ends.
+The token loop reads no numpy element. Step bits, blocking and the exclusion
+check are flat byte maps indexed by the cell `y * width + x`; each row's cell
+and key, (dy * 2 * width + dx) * 256 for its offset (dx, dy) from its
+destination (a grid cell), are per-row int lists. The key plus the cell's step
+byte selects cached tiers: the permitted moves strictly nearer the destination
+than staying put, one tier per squared distance, nearest first, each in
+`MOORE_OFFSETS` order. A step takes a uniformly drawn move of the first tier
+that has unblocked moves inside the radius. Tiers are cached for 16 widths,
+at most TIER_KEYS keys of about 0.3 KB each (a full table is emptied): 1.2 MB
+a width. At `MAX_V_MAX` a width has 256 * 41**2 possible keys; the benchmark
+workloads touch a few hundred.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,83 +36,58 @@ import numpy as np
 from .decision import Agent, SimulationError, pair_column
 from .scenario import MOORE_OFFSETS, Grid
 
+TIER_KEYS = 4096
+
+
 @dataclass
 class RoundExecution:
-    """Movement-phase outcome: the per-step log of (id, fx, fy, tx, ty) rows."""
+    """Movement outcome: (k, 3) int64 (id, from cell, to cell) step rows; the (n, 2) (x, y) before and after."""
 
-    steps: list[tuple[int, int, int, int, int]] = field(default_factory=list)
+    steps: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
 @lru_cache(maxsize=16)
-def step_moves(width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each step-table byte, the (ox, oy, oy * width + ox) of its set bits, in MOORE_OFFSETS order."""
-    moves = [(ox, oy, oy * width + ox) for ox, oy in MOORE_OFFSETS]
-    return tuple(tuple(m for k, m in enumerate(moves) if b >> k & 1) for b in range(256))
+def tier_table(width: int) -> tuple[dict[int, tuple], np.ndarray]:
+    """The tiers cached for one width by key, and the (4, 4) map of a row's (x, y, dx, dy) to (cell, key, dx, dy)."""
+    return {}, np.array([[1, 0, 0, 0], [width, 0, 0, 0], [0, 256, 1, 0], [0, 512 * width, 0, 1]], dtype=np.int64)
 
 
-def build_step_sequence(
-    agents: list[Agent],
-    destinations: dict[int, tuple[int, int]],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniformly shuffled token sequence; row i appears Chebyshev(pos, dest) times, rows by ascending id."""
-    pos = pair_column([a.pos for a in agents])
-    dest = pair_column([destinations[a.id] for a in agents])
-    order = np.argsort(np.fromiter([a.id for a in agents], np.int64, len(agents)))
-    seq = np.repeat(order, np.abs(dest - pos).max(axis=1)[order])
+def move_tiers(width: int, key: int) -> tuple[tuple[int, tuple[tuple[int, int, int, int], ...]], ...]:
+    """The tiers of a key (dy * 2 * width + dx) * 256 + step byte, nearest first, as (half, moves).
+
+    half is ceil(d2 / 2) for the tier's squared distance d2; a move (delta,
+    next key, ndx, ndy) is the cell step, the row's key and offset after it.
+    It stays inside the radius of a row that started at offset (ux, uy) iff
+    ux * ndx + uy * ndy >= half: |(ndx - ux, ndy - uy)|^2 <= ux^2 + uy^2.
+    """
+    span = 2 * width
+    b = key & 255
+    dy, dx = divmod((key >> 8) + width, span)
+    dx -= width
+    here = dx * dx + dy * dy
+    by_d2: dict[int, list[tuple[int, int, int, int]]] = {}
+    for k, (ox, oy) in enumerate(MOORE_OFFSETS):
+        ndx, ndy = dx + ox, dy + oy
+        d2 = ndx * ndx + ndy * ndy
+        if b >> k & 1 and d2 < here:
+            by_d2.setdefault(d2, []).append((oy * width + ox, (ndy * span + ndx) << 8, ndx, ndy))
+    return tuple(((d2 + 1) // 2, tuple(by_d2[d2])) for d2 in sorted(by_d2))
+
+
+def build_step_sequence(ids: np.ndarray, tokens: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly shuffled token sequence; row i appears tokens[i] times, rows laid out by ascending ids[i]."""
+    order = np.argsort(ids)
+    seq = np.repeat(order, tokens[order])
     rng.shuffle(seq)
     return seq
 
 
-def execute_step(
-    x: int, y: int, at: int, goal: tuple[int, int, int, int, int],
-    moves: tuple[tuple[int, int, int], ...], blocked: bytearray, rng: np.random.Generator,
-) -> tuple[int, int] | None:
-    """One micro-step from (x, y) toward the destination, or None when the agent's round is over.
-
-    `at` = y * width + x indexes the byte map `blocked`; `moves` is the
-    `step_moves(width)` entry of the cell's step byte; `goal` is (tx, ty, sx,
-    sy, radius): destination, round-start cell, their squared distance. The
-    target is the unblocked permitted cell no farther from the start than the
-    destination that is nearest the destination (exact integers, ties uniform
-    at random) and strictly nearer than staying put; it is marked blocked.
-    """
-    tx, ty, sx, sy, radius = goal
-    dx, dy = x - tx, y - ty
-    rx0, ry0 = x - sx, y - sy
-    best = here = dx * dx + dy * dy
-    best_moves: list[tuple[int, int, int]] = []
-    for move in moves:
-        ox, oy, delta = move
-        if blocked[at + delta]:
-            continue
-        ddx, ddy = dx + ox, dy + oy
-        d2 = ddx * ddx + ddy * ddy
-        # worse than the best so far, or only as good as staying put
-        if d2 > best or d2 == here:
-            continue
-        rx, ry = rx0 + ox, ry0 + oy
-        if rx * rx + ry * ry > radius:
-            continue
-        if d2 < best:
-            best = d2
-            best_moves = [move]
-        else:
-            best_moves.append(move)
-    if not best_moves:
-        return None
-    ox, oy, delta = best_moves[int(rng.integers(len(best_moves)))] if len(best_moves) > 1 else best_moves[0]
-    blocked[at + delta] = 1
-    return x + ox, y + oy
-
-
 def execute_round(
-    agents: list[Agent],
-    destinations: dict[int, tuple[int, int]],
-    grid: Grid,
-    rng: np.random.Generator,
+    agents: list[Agent], destinations: np.ndarray, grid: Grid, rng: np.random.Generator
 ) -> RoundExecution:
-    """Run the whole movement phase, then write each agent's final `pos` once.
+    """Run the whole movement phase toward `destinations[a.id]`, then write each agent's final `pos` once.
 
     Blocking starts from every agent's current cell and only grows. Tokens of
     an agent that found no improving unblocked step inside its destination
@@ -115,34 +97,55 @@ def execute_round(
     """
     width = grid.width
     steps = grid.steps.tobytes()
-    moves = step_moves(width)
-    pos = [a.pos for a in agents]
-    blocked = bytearray(width * grid.height)
-    for x, y in pos:
-        blocked[y * width + x] = 1
-    occupied = bytearray(blocked)
-    dest = [destinations[a.id] for a in agents]
-    goal = [(tx, ty, sx, sy, (tx - sx) ** 2 + (ty - sy) ** 2) for (sx, sy), (tx, ty) in zip(pos, dest)]
+    table, row_keys = tier_table(width)
     ids = [a.id for a in agents]
-    done = [False] * len(agents)
+    id_column = np.fromiter(ids, np.int64, len(ids))
+    start = pair_column([a.pos for a in agents])
+    off = start - destinations[id_column]
+    cell, koff, ux, uy = np.concatenate((start, off), axis=1).dot(row_keys).T.tolist()
+    blocked = bytearray(width * grid.height)
+    for at in cell:
+        blocked[at] = 1
+    occupied = bytearray(blocked)
 
-    log = []
-    for row in build_step_sequence(agents, destinations, rng).tolist():
-        if done[row]:
+    log: list[int] = []
+    seq = build_step_sequence(id_column, np.abs(off).max(axis=1), rng)
+    for row in seq.tolist():
+        k = koff[row]
+        if k is None:  # no improving step was left to this row
             continue
-        x, y = pos[row]
-        at = y * width + x
-        new_pos = execute_step(x, y, at, goal[row], moves[steps[at]], blocked, rng)
-        if new_pos is None:
-            done[row] = True
+        at = cell[row]
+        key = k + steps[at]
+        tiers = table.get(key)
+        if tiers is None:
+            if len(table) >= TIER_KEYS:
+                table.clear()
+            tiers = table[key] = move_tiers(width, key)
+        rx, ry = ux[row], uy[row]
+        for half, moves in tiers:
+            ok = []
+            for move in moves:
+                if blocked[at + move[0]] or rx * move[2] + ry * move[3] < half:
+                    continue
+                ok.append(move)
+            if ok:
+                break
+        else:
+            koff[row] = None
             continue
-        to = new_pos[1] * width + new_pos[0]
+        delta, k, _, _ = ok[int(rng.integers(len(ok)))] if len(ok) > 1 else ok[0]
+        to = at + delta
         if occupied[to]:
-            raise SimulationError(f"two agents on one cell {new_pos}")
+            raise SimulationError(f"two agents on one cell {(to % width, to // width)}")
+        blocked[to] = 1
         occupied[at] = 0
         occupied[to] = 1
-        log.append((ids[row], x, y, new_pos[0], new_pos[1]))
-        pos[row] = new_pos
-    for a, p in zip(agents, pos):
+        cell[row] = to
+        koff[row] = k
+        log += (ids[row], at, to)
+
+    end = np.empty_like(start)
+    end[:, 1], end[:, 0] = np.divmod(cell, width)
+    for a, p in zip(agents, zip(*end.T.tolist())):
         a.pos = p
-    return RoundExecution(log)
+    return RoundExecution(np.array(log, dtype=np.int64).reshape(-1, 3), start, end)

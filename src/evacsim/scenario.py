@@ -71,9 +71,6 @@ class Grid:
     def height(self) -> int:
         return self.kind.shape[0]
 
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -291,7 +288,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if not m:
             raise ParseError("malformed agent line, expected 'agent <x> <y> <profile>'", lineno)
         x, y, pname = int(m.group(1)), int(m.group(2)), m.group(3)
-        if not grid.in_bounds(x, y):
+        if not (0 <= x < grid.width and 0 <= y < grid.height):
             raise ParseError(f"spawn ({x}, {y}) outside the grid", lineno)
         if pname not in profiles:
             raise ParseError(f"unknown profile {pname!r}", lineno)

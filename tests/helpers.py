@@ -17,7 +17,12 @@ softmax they use.
 `reference_execute_round` is the movement phase as it stood before the token
 loop went flat: id-keyed dicts, an (H, W) `blocked` array and per-token
 numpy reads, consuming the same draws. Its tokens, like the package's, are
-laid out in ascending id before the shuffle.
+laid out in ascending id before the shuffle. `flat_execute_step` is the step
+rule as it stood before the token loop read cached tiers: a scan of a cell's
+`step_moves`, the per-width table of the moves each step byte permits, that
+keeps the nearest admissible moves. `dest_table` builds the
+id-indexed destination array that `execute_round` reads, and `step_coords`
+turns its (id, from cell, to cell) step rows into (id, fx, fy, tx, ty) rows.
 `reference_update_component` is the trace update as it stood before it went
 sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
@@ -293,7 +298,7 @@ def agent_distribution(agent, state) -> SimpleNamespace:
 
     (block,) = destination_distribution([agent], state)
     keep = block.candidate[0]
-    return SimpleNamespace(cells=block.cells[0][keep], probs=block.probs[0][keep])
+    return SimpleNamespace(cells=(block.origin[0] + block.offsets)[keep], probs=block.probs[0][keep])
 
 
 def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
@@ -400,6 +405,70 @@ def reference_destination_distribution(agents, state):
 
 
 # ------------------------------------------------------- movement oracle
+
+def dest_table(destinations: dict[int, tuple[int, int]]) -> np.ndarray:
+    """(max id + 1, 2) int64 destinations indexed by agent id; rows of absent ids are (0, 0)."""
+    table = np.zeros((max(destinations, default=-1) + 1, 2), dtype=np.int64)
+    for aid, cell in destinations.items():
+        table[aid] = cell
+    return table
+
+
+def step_coords(steps: np.ndarray, width: int) -> np.ndarray:
+    """(k, 5) (id, fx, fy, tx, ty) rows of `RoundExecution.steps`' (id, from cell, to cell) rows."""
+    out = np.empty((len(steps), 5), dtype=np.int64)
+    out[:, 0] = steps[:, 0]
+    out[:, 2], out[:, 1] = np.divmod(steps[:, 1], width)
+    out[:, 4], out[:, 3] = np.divmod(steps[:, 2], width)
+    return out
+
+
+def step_moves(width: int):
+    """For each step-table byte, the (ox, oy, oy * width + ox) of its set bits, in MOORE_OFFSETS order."""
+    from evacsim.scenario import MOORE_OFFSETS
+
+    moves = [(ox, oy, oy * width + ox) for ox, oy in MOORE_OFFSETS]
+    return tuple(tuple(m for k, m in enumerate(moves) if b >> k & 1) for b in range(256))
+
+
+def flat_execute_step(x, y, at, goal, moves, blocked: bytearray, rng):
+    """One micro-step from (x, y) toward the destination, or None when the agent's round is over.
+
+    `at` = y * width + x indexes the byte map `blocked`; `moves` is the
+    `step_moves(width)` entry of the cell's step byte; `goal` is (tx, ty, sx,
+    sy, radius): destination, round-start cell, their squared distance. The
+    target is the unblocked permitted cell no farther from the start than the
+    destination that is nearest the destination (exact integers, ties uniform
+    at random) and strictly nearer than staying put; it is marked blocked.
+    """
+    tx, ty, sx, sy, radius = goal
+    dx, dy = x - tx, y - ty
+    rx0, ry0 = x - sx, y - sy
+    best = here = dx * dx + dy * dy
+    best_moves = []
+    for move in moves:
+        ox, oy, delta = move
+        if blocked[at + delta]:
+            continue
+        ddx, ddy = dx + ox, dy + oy
+        d2 = ddx * ddx + ddy * ddy
+        # worse than the best so far, or only as good as staying put
+        if d2 > best or d2 == here:
+            continue
+        rx, ry = rx0 + ox, ry0 + oy
+        if rx * rx + ry * ry > radius:
+            continue
+        if d2 < best:
+            best = d2
+            best_moves = [move]
+        else:
+            best_moves.append(move)
+    if not best_moves:
+        return None
+    ox, oy, delta = best_moves[int(rng.integers(len(best_moves)))] if len(best_moves) > 1 else best_moves[0]
+    blocked[at + delta] = 1
+    return x + ox, y + oy
+
 
 def _reference_execute_step(pos, dest, grid, blocked: np.ndarray, rng, start):
     """One micro-step toward dest, or None; marks the target in `blocked`."""

@@ -201,7 +201,7 @@ def test_criterion_04_zero_coupling_uniformity():
     rng = np.random.default_rng(440044)
     n = 100_000
     tally: dict[tuple[int, int], int] = {}
-    for c in choose_destination([agent] * n, state, rng.random(n)):
+    for c in map(tuple, choose_destination([agent] * n, state, rng.random(n)).tolist()):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -134,6 +135,25 @@ def test_rerun_is_byte_identical(tmp_path):
         )
     for name in ("trajectories_5.csv", "summary_5.txt", "heatmap_5.pgm", "steplog_5.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 over every artifact that cli.main writes for a room.txt seed, by relative
+# path, as the benchmark's `artifact_digest`; a change that keeps the random
+# streams and the formats must keep them
+CLI_ARTIFACT_DIGESTS = {
+    0: "ae497e0b4845b852e3798920410ff9ca366a6a6f853f21f6a9417a1f8dcd7a19",
+    1: "2edab2b89f11325d0d7b0771c968f3836972469eec94ffc1952186799594cfd4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CLI_ARTIFACT_DIGESTS))
+def test_cli_artifacts_golden_digest(tmp_path, seed):
+    module_spec = importlib.util.spec_from_file_location("checks", SCENARIOS.parent / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(checks)
+    assert run_cli("--scenario", ROOM, "--seed", str(seed), "--out", str(tmp_path), "--emit", ",".join(EMIT_CHOICES)) == 0
+    assert len(os.listdir(tmp_path)) == len(EMIT_CHOICES)
+    assert checks.artifact_digest(str(tmp_path), seed) == CLI_ARTIFACT_DIGESTS[seed]
 
 
 def test_batch_seeds_write_one_file_each_and_print_mean(tmp_path, capsys):

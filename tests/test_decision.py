@@ -309,7 +309,7 @@ def test_single_candidate_probability_one():
     dist = agent_distribution(a, state)
     assert len(dist.probs) == 1
     assert dist.probs[0] == 1.0
-    assert choose_destination([a], state, np.random.default_rng(0).random(1))[0] == (5, 5)
+    assert np.array_equal(choose_destination([a], state, np.random.default_rng(0).random(1)), [(5, 5)])
 
 
 def test_unreachable_candidates_get_zero_probability():
@@ -378,7 +378,7 @@ def test_zero_coupling_uniformity_chi_square():
     rng = np.random.default_rng(777)
     n = 20_000
     tally: dict[tuple[int, int], int] = {}
-    for c in choose_destination([a] * n, state, rng.random(n)):
+    for c in map(tuple, choose_destination([a] * n, state, rng.random(n)).tolist()):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -497,7 +497,7 @@ def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
                 a = agents[r]
                 seen.append(int(r))
                 cand = block.candidate[i]
-                cells = [(int(x), int(y)) for x, y in block.cells[i]]
+                cells = [(int(x), int(y)) for x, y in block.origin[i] + block.offsets]
                 expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.profile.v_max, state.grid)}
                 expected -= held - {a.pos}
                 assert {c for c, ok in zip(cells, cand) if ok} == expected
@@ -572,5 +572,6 @@ def test_kernels_equal_the_gather_oracle_bit_for_bit(world, block_rows):
         oracle = list(reference_destination_distribution(agents, state))
     assert len(blocks) == len(oracle)
     for block, ref in zip(blocks, oracle):
-        for name in ("rows", "cells", "candidate", "logw", "probs"):
+        assert np.array_equal(block.origin[:, None, :] + block.offsets, ref.cells), "cells"
+        for name in ("rows", "candidate", "logw", "probs"):
             assert np.array_equal(getattr(block, name), getattr(ref, name)), name

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim import cli, engine
-from evacsim.decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts
+from evacsim.decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, pair_column
 from evacsim.engine import (
     PURPOSE_DESTINATION,
     PURPOSE_EXIT,
@@ -28,7 +28,9 @@ from evacsim.movement import RoundExecution, execute_round
 from evacsim.scenario import DEFAULT_PROFILE, FLOOR, AgentProfile, Grid, ScenarioSpec, SimConfig, Spawn, parse_scenario
 from evacsim.static_field import compute_static_field
 
-from helpers import chebyshev, open_room_rows, random_kind, reference_execute_round, rows_to_text
+from helpers import (
+    chebyshev, dest_table, open_room_rows, random_kind, reference_execute_round, rows_to_text, step_coords,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -92,15 +94,15 @@ def test_zero_agents_evacuate_instantly():
     result = run_simulation(spec, SimConfig(seed=0))
     assert result.evacuation_rounds == 0
     assert result.agents_total == 0
-    assert result.trajectory == []
+    assert np.array_equal(result.trajectory, np.empty((0, 4), dtype=np.int64))
 
 
 def test_same_seed_reproduces_run_exactly():
     spec = load("room")
     r1 = run_simulation(spec, SimConfig(seed=3))
     r2 = run_simulation(spec, SimConfig(seed=3))
-    assert r1.trajectory == r2.trajectory
-    assert r1.step_log == r2.step_log
+    assert np.array_equal(r1.trajectory, r2.trajectory)
+    assert np.array_equal(r1.step_log, r2.step_log)
     assert np.array_equal(r1.density, r2.density)
     assert r1.evacuation_rounds == r2.evacuation_rounds
 
@@ -109,7 +111,7 @@ def test_different_seeds_diverge():
     spec = load("room")
     r1 = run_simulation(spec, SimConfig(seed=0))
     r2 = run_simulation(spec, SimConfig(seed=1))
-    assert r1.trajectory != r2.trajectory
+    assert not np.array_equal(r1.trajectory, r2.trajectory)
 
 
 def test_max_rounds_caps_run_without_error():
@@ -318,7 +320,7 @@ def test_exit_and_destination_choice_ignore_the_order_of_the_agent_list():
         ids = [a.id for a in agents]
         exits = choose_exit(agents, state.exit_dist, u_exit[ids])
         cells = choose_destination(agents, state, u_dest[ids])
-        return {a.id: (e, c) for a, e, c in zip(agents, exits.tolist(), cells)}
+        return {a.id: (e, c) for a, e, c in zip(agents, exits.tolist(), map(tuple, cells.tolist()))}
 
     expected = choose(list(alive))
     rng = np.random.default_rng(1)
@@ -337,7 +339,7 @@ def test_movement_ignores_the_order_of_the_agent_list():
     ids = [a.id for a in alive]
     choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
     cells = choose_destination(alive, state, derive_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
-    destinations = dict(zip(ids, cells))
+    destinations = dict(zip(ids, map(tuple, cells.tolist())))
     assert sum(chebyshev(a.pos, destinations[a.id]) for a in alive) > len(alive)
 
     def move(agents, execute):
@@ -345,8 +347,9 @@ def test_movement_ignores_the_order_of_the_agent_list():
         steps = execute(twins, destinations, state.grid, derive_stream(3, 2, PURPOSE_MOVEMENT))
         return {a.id: a.pos for a in twins}, steps
 
-    def flat(*args):
-        return execute_round(*args).steps
+    def flat(agents, destinations, grid, rng):
+        steps = execute_round(agents, dest_table(destinations), grid, rng).steps
+        return list(map(tuple, step_coords(steps, grid.width).tolist()))
 
     expected = move(alive, reference_execute_round)
     assert move(alive, flat) == expected
@@ -372,7 +375,11 @@ def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
     state.occupancy[b.pos[1], b.pos[0]] = False
     b.pos = a.pos
     state.counts = crowd_counts(state.occupancy)
-    monkeypatch.setattr(engine, "execute_round", lambda agents, destinations, grid, rng: RoundExecution())
+    def stay(agents, destinations, grid, rng):
+        cells = pair_column([a.pos for a in agents])
+        return RoundExecution(np.empty((0, 3), dtype=np.int64), cells, cells)
+
+    monkeypatch.setattr(engine, "execute_round", stay)
     with pytest.raises(SimulationError, match="two agents"):
         run_round(state)
 
