@@ -1,9 +1,9 @@
 """Probabilistic decision levels: per-round exit choice and destination choice.
 
 Every pick reads only the start-of-round state, so both levels are batched
-kernels over all agents, whose columns each call builds once: tuples by
-`np.fromiter`, profile values from a table of the few distinct profiles that
-agents share. Exit choice reads one (N, E) weight matrix from the (E, H, W)
+kernels over rows of the agent table (see `engine.agent_table`), which hold
+each agent's cell, last displacement, chosen exit and profile values as
+columns. Exit choice reads one (N, E) weight matrix from the (E, H, W)
 stack of exit distances. Destination choice combines five influences
 (distance to exit, trace field, inertia, wall clearance, neighbor crowding)
 in one (rows, K) log-weight matrix per v_max class over the disc offsets, in
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .scenario import WALL, AgentProfile, disc_offsets
+from .scenario import WALL, disc_offsets
 
 if TYPE_CHECKING:
     from .engine import SimState
@@ -40,21 +39,10 @@ class SimulationError(RuntimeError):
 
 
 @dataclass
-class Agent:
-    """One simulated pedestrian: its profile, and the state that changes during a run."""
-
-    id: int
-    pos: tuple[int, int]
-    profile: AgentProfile
-    chosen_exit: int | None = None
-    last_disp: tuple[int, int] = (0, 0)
-
-
-@dataclass
 class DestinationDistribution:
     """Destination law of one block of agents that share a v_max.
 
-    `rows` (n,) index the agent list, `origin` (n, 2) holds their cells and
+    `rows` (n,) index the agent rows, `origin` (n, 2) holds their cells and
     `offsets` (K, 2) the v_max disc; `candidate` (n, K) marks the in-grid,
     non-wall cells not held by another agent (the own cell always is one);
     `logw` (n, K) is -inf off the candidates and where the chosen exit cannot
@@ -81,51 +69,29 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, last)
 
 
-def pair_column(pairs: list[tuple[int, int]]) -> np.ndarray:
-    """(n, 2) int64 array of n (a, b) pairs, by np.fromiter: numpy's fast path for a stream of numbers."""
-    return np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-
-
-def _profile_rows(agents: list[Agent]) -> tuple[list[AgentProfile], np.ndarray]:
-    """The distinct profiles of `agents` (by identity) and each agent's index into them."""
-    profiles = [a.profile for a in agents]
-    keys = list(map(id, profiles))
-    distinct = dict(zip(keys, profiles))
-    index = {k: i for i, k in enumerate(distinct)}
-    return list(distinct.values()), np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-
-
-def exit_weights(agents: list[Agent], exit_dist: np.ndarray) -> np.ndarray:
-    """(N, E) unnormalized exit-choice weights (1 + persistence bonus) / distance^2.
+def exit_weights(agents: np.ndarray, exit_dist: np.ndarray) -> np.ndarray:
+    """(N, E) unnormalized exit-choice weights (1 + persistence bonus) / distance^2 of the agent rows.
 
     The distance is clamped below at one cell; exits an agent may not use or
-    cannot reach weigh zero.
+    cannot reach weigh zero. A chosen exit of -1 (none yet) earns no bonus.
     """
     n_exits = exit_dist.shape[0]
-    pos = pair_column([a.pos for a in agents])
+    pos = agents["pos"]
     s = exit_dist[:, pos[:, 1], pos[:, 0]].T
-    profiles, row = _profile_rows(agents)
-    mask = [[p.allowed_exits is None or e in p.allowed_exits for e in range(n_exits)] for p in profiles]
-    allowed = np.array(mask, dtype=bool).reshape(-1, n_exits)[row]
-    k_e = np.array([p.k_e for p in profiles], dtype=np.float64)[row]
-    chosen = np.fromiter([-1 if a.chosen_exit is None else a.chosen_exit for a in agents], np.int64, len(agents))
-    bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
-    usable = allowed & np.isfinite(s)
+    bonus = np.where(agents["chosen_exit"][:, None] == np.arange(n_exits), agents["k_e"][:, None], 0.0)
+    usable = agents["allowed"] & np.isfinite(s)
     return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
 
 
-def choose_exit(agents: list[Agent], exit_dist: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sample this round's exit for every agent, agent i with uniform u[i]; stores it on the agents."""
+def choose_exit(agents: np.ndarray, exit_dist: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample this round's exit for every agent row, row i with uniform u[i]; (n,) int64, stored by the caller."""
     weights = exit_weights(agents, exit_dist)
     total = weights.sum(axis=1)
     stuck = np.nonzero(total <= 0.0)[0]
     if stuck.size:
         a = agents[int(stuck[0])]
-        raise SimulationError(f"agent {a.id} cannot reach any allowed exit from {a.pos}")
-    chosen = sample_rows(weights / total[:, None], u)
-    for a, e in zip(agents, chosen.tolist()):
-        a.chosen_exit = e
-    return chosen
+        raise SimulationError(f"agent {a.id} cannot reach any allowed exit from {tuple(a.pos.tolist())}")
+    return sample_rows(weights / total[:, None], u)
 
 
 def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
@@ -171,11 +137,11 @@ def _inertia_tables(v_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[DestinationDistribution]:
-    """Destination laws of all agents, one block per v_max class and BLOCK_ROWS rows.
+def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[DestinationDistribution]:
+    """Destination laws of all agent rows, one block per v_max class and BLOCK_ROWS rows.
 
     Reads the start-of-round `state`: grid, exit and wall distances, trace
-    field, crowd counts, occupancy and `config.w_max`. Every agent needs a
+    field, crowd counts, occupancy and `config.w_max`. Every row needs a
     chosen exit. The log weight of candidate c for an agent at p is
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
     - k_W (w_max - W(c)) - k_P crowd(c), u being the last displacement
@@ -184,17 +150,16 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
     out: it would add only +-0.0, which changes no probability. The static
     term always stays, as it carries the reachability mask.
     """
-    pos = pair_column([a.pos for a in agents])
-    last = pair_column([a.last_disp for a in agents])
-    chosen = np.fromiter([a.chosen_exit for a in agents], np.int64, len(agents))
-    profiles, row = _profile_rows(agents)
-    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)[row]
-    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)[row]
+    pos = agents["pos"]
+    last = agents["last_disp"]
+    chosen = agents["chosen_exit"]
+    v_max = agents["v_max"]
+    k = agents["k"]
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
     # fields are read through flat cell indices y * width + x
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
-    for v in sorted({p.v_max for p in profiles}):
+    for v in np.flatnonzero(np.bincount(v_max)).tolist():
         offx, offy, own = _disc_terms(v)
         of_class = np.nonzero(v_max == v)[0]
         for start in range(0, len(of_class), BLOCK_ROWS):
@@ -234,7 +199,7 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
             if stuck.size:
                 # even the own cell is cut off from the chosen exit
                 a = agents[int(stuck[0])]
-                raise SimulationError(f"agent {a.id} at {a.pos} cannot reach exit {a.chosen_exit}")
+                raise SimulationError(f"agent {a.id} at {tuple(a.pos.tolist())} cannot reach exit {a.chosen_exit}")
             w = np.exp(logw - top)
             yield DestinationDistribution(
                 rows=rows,
@@ -246,8 +211,8 @@ def destination_distribution(agents: list[Agent], state: SimState) -> Iterator[D
             )
 
 
-def choose_destination(agents: list[Agent], state: SimState, u: np.ndarray) -> np.ndarray:
-    """Sample every agent's (x, y) destination this round from `state`, agent i with uniform u[i]; (n, 2) int64."""
+def choose_destination(agents: np.ndarray, state: SimState, u: np.ndarray) -> np.ndarray:
+    """Sample every agent row's (x, y) destination this round from `state`, row i with uniform u[i]; (n, 2) int64."""
     dest = np.empty((len(agents), 2), dtype=np.int64)
     for block in destination_distribution(agents, state):
         dest[block.rows] = block.origin + block.offsets[sample_rows(block.probs, u[block.rows])]

@@ -5,18 +5,21 @@ Randomness discipline: every random draw comes from a stream keyed by
 seed. Exit and destination choice each draw one uniform per agent id from a
 single per-round stream, so an agent's draws do not depend on which other
 agents are still in the room. One round models one second; one cell edge is
-0.4 m. End-of-round bookkeeping runs on arrays of the agents' final cells, and
-a round records integer columns, not tuples: its agents' ids and end cells and
-its step rows, which the finished run joins into its tables.
+0.4 m. A round takes the rows of the agents still in the room from the agent
+table (`agent_table`) once, and stores them back once. End-of-round
+bookkeeping runs on arrays of the agents' final cells, and a round records
+integer columns, not tuples: its agents' ids and end cells and its step rows,
+which the finished run joins into its tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, exit_weights, pair_column
+from .decision import SimulationError, choose_destination, choose_exit, crowd_counts, exit_weights
 from .dynamic_field import DynamicField
 from .movement import execute_round
 from .scenario import EXIT, Grid, ScenarioSpec, SimConfig
@@ -40,7 +43,8 @@ def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.G
 class SimState:
     """Everything a run reads and mutates round to round.
 
-    `agents` lists every agent by id, `alive` the ones still in the room.
+    `agents` is the agent table (see `agent_table`), `alive` the ascending
+    ids of the agents still in the room.
     `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
     the (H, W) wall distance clamped to `config.w_max`; both are read-only.
     Round r records its agents' ids and end (x, y) (round 0: the spawns) and its step rows in
@@ -49,8 +53,8 @@ class SimState:
 
     grid: Grid
     config: SimConfig
-    agents: list[Agent]
-    alive: list[Agent]
+    agents: np.ndarray
+    alive: np.ndarray
     exit_dist: np.ndarray
     wall_dist: np.ndarray
     dyn_field: DynamicField
@@ -86,6 +90,36 @@ class SimResult:
         return None if self.evacuation_rounds is None else self.evacuation_rounds * ROUND_SECONDS
 
 
+def agent_table(spec: ScenarioSpec) -> np.ndarray:
+    """The agent table: one row per spawn, row i being agent i, with the fields `id`, `pos` (x, y), `last_disp`
+    (dx, dy) of its last round, `chosen_exit` (-1 before its first choice), and its profile's `v_max`, `k`
+    (k_S, k_D, k_I, k_W, k_P), `k_e` and `allowed`, the mask of the exits it may use.
+
+    Its elements are `np.record`s, so a row reads its fields as attributes (`row.pos`) and a column is a
+    plain field read (`agents["pos"]`). Built a column at a time: one profile index per spawn into small
+    arrays of the profiles' values.
+    """
+    n, n_exits = len(spec.spawns), spec.grid.n_exits
+    profiles = list(spec.profiles.values())
+    index = {name: i for i, name in enumerate(spec.profiles)}
+    which = np.fromiter([index[s.profile] for s in spec.spawns], np.intp, n)
+    agents = np.empty(n, dtype=np.dtype((np.record, [
+        ("id", np.int64), ("pos", np.int64, 2), ("last_disp", np.int64, 2), ("chosen_exit", np.int64),
+        ("v_max", np.int64), ("k", np.float64, 5), ("k_e", np.float64), ("allowed", bool, n_exits),
+    ])))
+    agents["id"] = np.arange(n)
+    agents["pos"] = np.fromiter(chain.from_iterable([(s.x, s.y) for s in spec.spawns]), np.int64, 2 * n).reshape(-1, 2)
+    agents["last_disp"] = 0
+    agents["chosen_exit"] = -1
+    agents["v_max"] = np.array([p.v_max for p in profiles], dtype=np.int64)[which]
+    k = [(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles]
+    agents["k"] = np.array(k, dtype=np.float64).reshape(len(profiles), 5)[which]
+    agents["k_e"] = np.array([p.k_e for p in profiles], dtype=np.float64)[which]
+    mask = [[p.allowed_exits is None or e in p.allowed_exits for e in range(n_exits)] for p in profiles]
+    agents["allowed"] = np.array(mask, dtype=bool).reshape(len(profiles), n_exits)[which]
+    return agents
+
+
 def init_state(
     spec: ScenarioSpec, config: SimConfig, fields: tuple[np.ndarray, np.ndarray] | None = None
 ) -> SimState:
@@ -102,13 +136,13 @@ def init_state(
     else:
         exit_dist, wall_dist = fields
 
-    agents = [Agent(id=i, pos=(s.x, s.y), profile=spec.profiles[s.profile]) for i, s in enumerate(spec.spawns)]
+    agents = agent_table(spec)
     stuck = np.flatnonzero(~exit_weights(agents, exit_dist).any(axis=1))
     if stuck.size:
         a = agents[int(stuck[0])]
         raise SimulationError(f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits")
 
-    pos = pair_column([a.pos for a in agents])
+    pos = agents["pos"].copy()  # round 0's record, which the table's later writes must not change
     xs, ys = pos.T
     occupancy = np.zeros((grid.height, grid.width), dtype=bool)
     occupancy[ys, xs] = True
@@ -117,7 +151,7 @@ def init_state(
         grid=grid,
         config=config,
         agents=agents,
-        alive=list(agents),
+        alive=np.arange(len(agents)),
         exit_dist=exit_dist,
         wall_dist=wall_dist,
         dyn_field=DynamicField(grid),
@@ -125,7 +159,7 @@ def init_state(
         counts=crowd_counts(occupancy),
         density=np.zeros((grid.height, grid.width), dtype=np.int64),
     )
-    state.round_ids.append(np.arange(len(agents)))
+    state.round_ids.append(state.alive)
     state.round_cells.append(pos)
     np.add.at(state.density, (ys, xs), 1)
     state.alive_counts.append(len(agents))
@@ -137,24 +171,26 @@ def run_round(state: SimState) -> None:
     cfg = state.config
     seed = cfg.seed
     t = state.t
-    alive = state.alive
-    ids = np.fromiter([a.id for a in alive], np.int64, len(alive))
+    ids = state.alive
+    rows = state.agents[ids]
     n = len(state.agents)
 
-    choose_exit(alive, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
+    rows["chosen_exit"] = choose_exit(rows, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
     destinations = np.zeros((n, 2), dtype=np.int64)
-    destinations[ids] = choose_destination(alive, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
-    moved = execute_round(alive, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
+    destinations[ids] = choose_destination(rows, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
+    moved = execute_round(rows, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
 
-    state.dyn_field.record_moves(np.concatenate((moved.start, moved.end), axis=1))
+    start = rows["pos"]
+    state.dyn_field.record_moves(np.concatenate((start, moved.end), axis=1))
     state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, PURPOSE_FIELD))
 
     round_no = t + 1
     state.round_ids.append(ids)
     state.round_cells.append(moved.end)
     state.round_steps.append(moved.steps)
-    for a, disp in zip(alive, zip(*(moved.end - moved.start).T.tolist())):
-        a.last_disp = disp
+    rows["last_disp"] = moved.end - start
+    rows["pos"] = moved.end
+    state.agents[ids] = rows
     xs, ys = moved.end.T
     np.add.at(state.density, (ys, xs), 1)
     out = state.grid.kind[ys, xs] == EXIT
@@ -167,7 +203,7 @@ def run_round(state: SimState) -> None:
         cell = tuple(held[counts > 1][0].tolist())
         raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
-    state.alive = [a for a, gone in zip(alive, out.tolist()) if not gone]
+    state.alive = ids[stay]
     state.alive_counts.append(len(state.alive))
     state.t = round_no
 

@@ -1,10 +1,10 @@
 """Sequential step execution: randomly interleaved single-cell moves.
 
 Each agent owes one movement token per Chebyshev step between its position
-and its destination. The tokens are agent rows (indices into the round's
-agent list) laid out by ascending id, so the list order changes no move; all
-of them are shuffled into one sequence and consumed in order. Every executed
-step moves one agent to the permitted neighbor cell (a set bit of
+and its destination. The tokens are row indices into the round's rows of
+the agent table, laid out by ascending id, so the row order changes no move;
+all of them are shuffled into one sequence and consumed in order. Every
+executed step moves one agent to the permitted neighbor cell (a set bit of
 `Grid.steps`, tried in `MOORE_OFFSETS` order) nearest (Euclidean) to its
 destination. A step never leaves the disc around the agent's
 round-start cell whose radius is the destination's distance, so a detour
@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decision import Agent, SimulationError, pair_column
+from .decision import SimulationError
 from .scenario import MOORE_OFFSETS, Grid
 
 TIER_KEYS = 4096
@@ -41,10 +41,9 @@ TIER_KEYS = 4096
 
 @dataclass
 class RoundExecution:
-    """Movement outcome: (k, 3) int64 (id, from cell, to cell) step rows; the (n, 2) (x, y) before and after."""
+    """Movement outcome: (k, 3) int64 (id, from cell, to cell) step rows; the (n, 2) (x, y) after the round."""
 
     steps: np.ndarray
-    start: np.ndarray
     end: np.ndarray
 
 
@@ -85,9 +84,9 @@ def build_step_sequence(ids: np.ndarray, tokens: np.ndarray, rng: np.random.Gene
 
 
 def execute_round(
-    agents: list[Agent], destinations: np.ndarray, grid: Grid, rng: np.random.Generator
+    agents: np.ndarray, destinations: np.ndarray, grid: Grid, rng: np.random.Generator
 ) -> RoundExecution:
-    """Run the whole movement phase toward `destinations[a.id]`, then write each agent's final `pos` once.
+    """Run the whole movement phase of the agent rows from `pos` toward `destinations[id]`; the rows are not changed.
 
     Blocking starts from every agent's current cell and only grows. Tokens of
     an agent that found no improving unblocked step inside its destination
@@ -98,9 +97,9 @@ def execute_round(
     width = grid.width
     steps = grid.steps.tobytes()
     table, row_keys = tier_table(width)
-    ids = [a.id for a in agents]
-    id_column = np.fromiter(ids, np.int64, len(ids))
-    start = pair_column([a.pos for a in agents])
+    id_column = agents["id"]
+    ids = id_column.tolist()
+    start = agents["pos"]
     off = start - destinations[id_column]
     cell, koff, ux, uy = np.concatenate((start, off), axis=1).dot(row_keys).T.tolist()
     blocked = bytearray(width * grid.height)
@@ -144,8 +143,6 @@ def execute_round(
         koff[row] = k
         log += (ids[row], at, to)
 
-    end = np.empty_like(start)
+    end = np.empty((len(cell), 2), dtype=np.int64)
     end[:, 1], end[:, 0] = np.divmod(cell, width)
-    for a, p in zip(agents, zip(*end.T.tolist())):
-        a.pos = p
-    return RoundExecution(np.array(log, dtype=np.int64).reshape(-1, 3), start, end)
+    return RoundExecution(np.array(log, dtype=np.int64).reshape(-1, 3), end)

@@ -5,24 +5,28 @@ as bits. Two distance oracles share no code with the package's vectorised
 relaxation over that table: `relaxation_distances` (naive fixpoint sweeps
 over the whole grid) and `dijkstra_distances` (a priority-queue search over
 `moore_steps`, which the package's fields must equal bit for bit).
+`make_profile` and `make_agents` build rows of the package's agent table
+(`engine.agent_table`) for given cells, ids and profiles; the oracles read
+such rows one record at a time (`a.pos`, `a.k`, `a.chosen_exit`, ...).
 The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
 for the package's batched decision kernels, which read a `SimState` built by
 `make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
 disc, from which the destination kernel takes its candidates.
 `reference_exit_weights` and `reference_destination_distribution` are the
-batched decision kernels as they stood before their columns came from a
-profile table: per-agent gathers, and the inertia and wall terms computed per
-block; the kernels must equal them bit for bit. `softmax_from_log` is the
-softmax they use.
+batched decision kernels as they stood before they read the table's columns:
+per-agent gathers, and the inertia and wall terms computed per block; the
+kernels must equal them bit for bit. `softmax_from_log` is the softmax they
+use.
 `reference_execute_round` is the movement phase as it stood before the token
 loop went flat: id-keyed dicts, an (H, W) `blocked` array and per-token
-numpy reads, consuming the same draws. Its tokens, like the package's, are
-laid out in ascending id before the shuffle. `flat_execute_step` is the step
-rule as it stood before the token loop read cached tiers: a scan of a cell's
-`step_moves`, the per-width table of the moves each step byte permits, that
-keeps the nearest admissible moves. `dest_table` builds the
-id-indexed destination array that `execute_round` reads, and `step_coords`
-turns its (id, from cell, to cell) step rows into (id, fx, fy, tx, ty) rows.
+numpy reads, consuming the same draws; it writes each row's `pos` as it
+steps. Its tokens, like the package's, are laid out in ascending id before
+the shuffle. `flat_execute_step` is the step rule as it stood before the
+token loop read cached tiers: a scan of a cell's `step_moves`, the per-width
+table of the moves each step byte permits, that keeps the nearest admissible
+moves. `dest_table` builds the id-indexed destination array that
+`execute_round` reads, and `step_coords` turns its (id, from cell, to cell)
+step rows into (id, fx, fy, tx, ty) rows.
 `reference_update_component` is the trace update as it stood before it went
 sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
@@ -190,14 +194,30 @@ def render_scenario(spec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def make_agent(agent_id, pos, v_max=3, exits=(0,), **couplings):
-    """Agent with all couplings zero unless overridden, allowed to use `exits`."""
-    from evacsim.decision import Agent
+def make_profile(v_max=3, exits=(0,), **couplings):
+    """Profile with all couplings zero unless overridden, allowed to use `exits`."""
     from evacsim.scenario import AgentProfile
 
     kw = dict(k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0, k_e=0.0)
     kw.update(couplings)
-    return Agent(id=agent_id, pos=pos, profile=AgentProfile(v_max=v_max, allowed_exits=tuple(exits), **kw))
+    return AgentProfile(v_max=v_max, allowed_exits=tuple(exits), **kw)
+
+
+def make_agents(grid, cells, ids=None, profiles=None):
+    """Agent-table rows, built by `agent_table` on `grid`, of agents at the (x, y) `cells`: row i has id
+    ids[i] (default i) and profile profiles[i] (default `make_profile()`)."""
+    from evacsim.engine import agent_table
+    from evacsim.scenario import ScenarioSpec, Spawn
+
+    profiles = [make_profile()] * len(cells) if profiles is None else list(profiles)
+    names = {}
+    for p in profiles:
+        names.setdefault(p, f"p{len(names)}")
+    spawns = tuple(Spawn(int(x), int(y), names[p]) for (x, y), p in zip(cells, profiles))
+    agents = agent_table(ScenarioSpec(grid=grid, profiles={n: p for p, n in names.items()}, spawns=spawns))
+    if ids is not None:
+        agents["id"] = ids
+    return agents
 
 
 def neighborhood(p: tuple[int, int], v_max: int, grid) -> np.ndarray:
@@ -233,39 +253,43 @@ def open_room_rows(width: int, height: int, exits: list[tuple[int, int]]) -> lis
 
 # ------------------------------------------------------- decision oracles
 
+# The oracles below read one agent-table record `agent`: its profile's couplings are
+# agent.k = (k_S, k_D, k_I, k_W, k_P), agent.k_e and the exit mask agent.allowed.
+
 def exit_weight(agent, exit_id: int, dist: np.ndarray) -> float:
     """(1 + persistence bonus) / max(S, 1)^2 for one allowed, reachable exit; else 0."""
-    x, y = agent.pos
+    x, y = agent.pos.tolist()
     s = dist[y, x]
-    allowed = agent.profile.allowed_exits
-    if (allowed is not None and exit_id not in allowed) or not math.isfinite(s):
+    if not agent.allowed[exit_id] or not math.isfinite(s):
         return 0.0
-    bonus = agent.profile.k_e if exit_id == agent.chosen_exit else 0.0
+    bonus = float(agent.k_e) if exit_id == agent.chosen_exit else 0.0
     return (1.0 + bonus) / max(s, 1.0) ** 2
 
 
 def logw_static(agent, cell: tuple[int, int], dist: np.ndarray) -> float:
     """-k_S * S at the candidate cell, S read from one exit's distance array."""
-    return -agent.profile.k_s * dist[cell[1], cell[0]]
+    return -float(agent.k[0]) * dist[cell[1], cell[0]]
 
 
 def logw_dynamic(agent, cell: tuple[int, int], df) -> float:
     """k_D * (trace at the candidate) . (candidate offset from the agent's cell)."""
+    x, y = agent.pos.tolist()
     dx, dy = df.dx[cell[1], cell[0]], df.dy[cell[1], cell[0]]
-    return agent.profile.k_d * (dx * (cell[0] - agent.pos[0]) + dy * (cell[1] - agent.pos[1]))
+    return float(agent.k[1]) * (dx * (cell[0] - x) + dy * (cell[1] - y))
 
 
 def logw_inertia(agent, cell: tuple[int, int]) -> float:
     """-k_I * (v_next + v_prev) * sin(|phi|/2), phi the turn angle; 0 when standing."""
-    ux, uy = agent.last_disp
-    vx, vy = cell[0] - agent.pos[0], cell[1] - agent.pos[1]
+    ux, uy = agent.last_disp.tolist()
+    x, y = agent.pos.tolist()
+    vx, vy = cell[0] - x, cell[1] - y
     v_prev = math.hypot(ux, uy)
     v_next = math.hypot(vx, vy)
     if v_prev == 0.0 or v_next == 0.0:
         return 0.0
     cos_phi = max(-1.0, min(1.0, (ux * vx + uy * vy) / (v_prev * v_next)))
     sin_half = math.sqrt((1.0 - cos_phi) / 2.0)
-    return -agent.profile.k_i * (v_next + v_prev) * sin_half
+    return -float(agent.k[2]) * (v_next + v_prev) * sin_half
 
 
 def logw_wall(cell: tuple[int, int], wall_dist: np.ndarray, k_w: float, w_max: float) -> float:
@@ -287,16 +311,16 @@ def logw_total(agent, cell: tuple[int, int], state) -> float:
         logw_static(agent, cell, state.exit_dist[agent.chosen_exit])
         + logw_dynamic(agent, cell, state.dyn_field)
         + logw_inertia(agent, cell)
-        + logw_wall(cell, state.wall_dist, agent.profile.k_w, state.config.w_max)
-        + logw_polite(cell, state.counts, agent.profile.k_p)
+        + logw_wall(cell, state.wall_dist, float(agent.k[3]), state.config.w_max)
+        + logw_polite(cell, state.counts, float(agent.k[4]))
     )
 
 
 def agent_distribution(agent, state) -> SimpleNamespace:
-    """One agent's candidate cells (m, 2) and their probabilities (m,), from the batched kernel."""
+    """The candidate cells (m, 2) and their probabilities (m,) of `agent`, a one-row agent table, by the kernel."""
     from evacsim.decision import destination_distribution
 
-    (block,) = destination_distribution([agent], state)
+    (block,) = destination_distribution(agent, state)
     keep = block.candidate[0]
     return SimpleNamespace(cells=(block.origin[0] + block.offsets)[keep], probs=block.probs[0][keep])
 
@@ -330,34 +354,31 @@ def softmax_from_log(logw: np.ndarray) -> np.ndarray:
 
 
 def reference_exit_weights(agents, exit_dist: np.ndarray) -> np.ndarray:
-    """The batched exit kernel with per-agent gathers: (N, E) weights."""
+    """The batched exit kernel with per-agent gathers from the records of the agent rows: (N, E) weights."""
     n_exits = exit_dist.shape[0]
-    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
+    pos = np.array([a.pos.tolist() for a in agents], dtype=np.int64).reshape(-1, 2)
     s = exit_dist[:, pos[:, 1], pos[:, 0]].T
-    allowed = np.array(
-        [[a.profile.allowed_exits is None or e in a.profile.allowed_exits for e in range(n_exits)] for a in agents],
-        dtype=bool,
-    )
-    chosen = np.array([-1 if a.chosen_exit is None else a.chosen_exit for a in agents])
-    k_e = np.array([a.profile.k_e for a in agents], dtype=np.float64)
+    allowed = np.array([[bool(a.allowed[e]) for e in range(n_exits)] for a in agents], dtype=bool)
+    chosen = np.array([int(a.chosen_exit) for a in agents], dtype=np.int64)
+    k_e = np.array([float(a.k_e) for a in agents], dtype=np.float64)
     bonus = np.where(chosen[:, None] == np.arange(n_exits), k_e[:, None], 0.0)
     usable = allowed.reshape(-1, n_exits) & np.isfinite(s)
     return np.where(usable, (1.0 + bonus) / np.maximum(np.where(usable, s, 1.0), 1.0) ** 2, 0.0)
 
 
 def reference_destination_distribution(agents, state):
-    """The batched destination kernel with per-agent gathers and the inertia and wall terms
-    computed per block: the same blocks as `destination_distribution`, each a namespace of
-    rows, cells (n, K, 2), candidate, logw and probs."""
+    """The batched destination kernel with per-agent gathers from the records of the agent rows,
+    and the inertia and wall terms computed per block: the same blocks as
+    `destination_distribution`, each a namespace of rows, cells (n, K, 2), candidate, logw and
+    probs."""
     from evacsim import decision
     from evacsim.scenario import disc_offsets
 
-    pos = np.array([a.pos for a in agents], dtype=np.int64).reshape(-1, 2)
-    profiles = [a.profile for a in agents]
-    v_max = np.array([p.v_max for p in profiles], dtype=np.int64)
-    chosen = np.array([a.chosen_exit for a in agents], dtype=np.int64)
-    last = np.array([a.last_disp for a in agents], dtype=np.float64).reshape(-1, 2)
-    k = np.array([(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles], dtype=np.float64).reshape(-1, 5)
+    pos = np.array([a.pos.tolist() for a in agents], dtype=np.int64).reshape(-1, 2)
+    v_max = np.array([int(a.v_max) for a in agents], dtype=np.int64)
+    chosen = np.array([int(a.chosen_exit) for a in agents], dtype=np.int64)
+    last = np.array([a.last_disp.tolist() for a in agents], dtype=np.float64).reshape(-1, 2)
+    k = np.array([a.k.tolist() for a in agents], dtype=np.float64).reshape(-1, 5)
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
@@ -513,8 +534,8 @@ def _reference_execute_step(pos, dest, grid, blocked: np.ndarray, rng, start):
 
 
 def reference_execute_round(agents, destinations, grid, rng):
-    """The movement phase with id-keyed tokens, laid out in ascending id before the shuffle;
-    mutates `a.pos` step by step.
+    """The movement phase of the agent rows with id-keyed tokens, laid out in ascending id before
+    the shuffle; writes each row's `pos` step by step.
 
     Returns the step log as (id, fx, fy, tx, ty) rows.
     """
@@ -523,14 +544,16 @@ def reference_execute_round(agents, destinations, grid, rng):
     blocked = np.zeros((grid.height, grid.width), dtype=bool)
     occupied: set[tuple[int, int]] = set()
     for a in agents:
-        blocked[a.pos[1], a.pos[0]] = True
-        occupied.add(a.pos)
-    start = {a.id: a.pos for a in agents}
-    by_id = {a.id: a for a in agents}
+        x, y = a.pos.tolist()
+        blocked[y, x] = True
+        occupied.add((x, y))
+    start = {int(a.id): tuple(a.pos.tolist()) for a in agents}
+    pos = dict(start)
+    by_id = {int(a.id): a for a in agents}
     finished: set[int] = set()
 
     ids = np.asarray(sorted(by_id), dtype=np.int64)
-    reps = [chebyshev(by_id[aid].pos, destinations[aid]) for aid in sorted(by_id)]
+    reps = [chebyshev(pos[aid], destinations[aid]) for aid in sorted(by_id)]
     seq = np.repeat(ids, reps)
     rng.shuffle(seq)
 
@@ -539,19 +562,20 @@ def reference_execute_round(agents, destinations, grid, rng):
         aid = int(aid)
         if aid in finished:
             continue
-        a = by_id[aid]
-        if a.pos == destinations[aid]:
+        here = pos[aid]
+        if here == destinations[aid]:
             continue
-        new_pos = _reference_execute_step(a.pos, destinations[aid], grid, blocked, rng, start[aid])
+        new_pos = _reference_execute_step(here, destinations[aid], grid, blocked, rng, start[aid])
         if new_pos is None:
             finished.add(aid)
             continue
         if new_pos in occupied:
             raise SimulationError(f"two agents on one cell {new_pos}")
-        occupied.discard(a.pos)
+        occupied.discard(here)
         occupied.add(new_pos)
-        steps.append((aid, a.pos[0], a.pos[1], new_pos[0], new_pos[1]))
-        a.pos = new_pos
+        steps.append((aid, here[0], here[1], new_pos[0], new_pos[1]))
+        pos[aid] = new_pos
+        by_id[aid].pos = new_pos
     return steps
 
 

@@ -28,7 +28,8 @@ from evacsim.static_field import compute_static_field
 from helpers import (
     agent_distribution,
     kind_from_rows,
-    make_agent,
+    make_agents,
+    make_profile,
     make_state,
     open_room_rows,
     random_kind,
@@ -172,8 +173,7 @@ def test_criterion_03_destination_normalization():
         state.dyn_field.dy[:] = rng.integers(-5000, 5001, state.dyn_field.dy.shape)
         floors = np.argwhere(state.grid.kind != 0)
         y, x = floors[int(rng.integers(len(floors)))]
-        agent = make_agent(
-            0, (int(x), int(y)),
+        profile = make_profile(
             v_max=int(rng.integers(1, 5)),
             k_s=float(rng.uniform(0, 20)),
             k_d=float(rng.uniform(-80, 80)),
@@ -181,8 +181,9 @@ def test_criterion_03_destination_normalization():
             k_w=float(rng.uniform(0, 10)),
             k_p=float(rng.uniform(0, 10)),
         )
-        agent.chosen_exit = 0
-        agent.last_disp = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+        agent = make_agents(state.grid, [(int(x), int(y))], profiles=[profile])
+        agent["chosen_exit"] = 0
+        agent["last_disp"] = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
         if not np.isfinite(state.exit_dist[0, y, x]):
             continue
         dist = agent_distribution(agent, state)
@@ -194,14 +195,14 @@ def test_criterion_03_destination_normalization():
 
 def test_criterion_04_zero_coupling_uniformity():
     state = make_state(open_room_rows(17, 17, exits=[(0, 8)]))
-    agent = make_agent(0, (8, 8), v_max=2)
-    agent.chosen_exit = 0
+    agent = make_agents(state.grid, [(8, 8)], profiles=[make_profile(v_max=2)])
+    agent["chosen_exit"] = 0
     dist = agent_distribution(agent, state)
     assert len(dist.probs) == 13
     rng = np.random.default_rng(440044)
     n = 100_000
     tally: dict[tuple[int, int], int] = {}
-    for c in map(tuple, choose_destination([agent] * n, state, rng.random(n)).tolist()):
+    for c in map(tuple, choose_destination(np.repeat(agent, n), state, rng.random(n)).tolist()):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -214,14 +215,14 @@ def test_criterion_05_exit_choice_law():
     fields = init_state(spec, SimConfig()).exit_dist
     n = 100_000
 
-    agent = make_agent(0, (3, 1), exits=(0, 1))
+    agent = make_agents(spec.grid, [(3, 1)], profiles=[make_profile(exits=(0, 1))])
     rng = np.random.default_rng(55)
-    near = np.count_nonzero(choose_exit([agent] * n, fields, rng.random(n)) == 0)
+    near = np.count_nonzero(choose_exit(np.repeat(agent, n), fields, rng.random(n)) == 0)
     plain_err = abs(near / n - 0.8)
 
-    sticky = make_agent(1, (3, 1), exits=(0, 1), k_e=1.0)
-    sticky.chosen_exit = 1  # far exit was last round's choice
-    near_sticky = np.count_nonzero(choose_exit([sticky] * n, fields, rng.random(n)) == 0)
+    sticky = make_agents(spec.grid, [(3, 1)], profiles=[make_profile(exits=(0, 1), k_e=1.0)])
+    sticky["chosen_exit"] = 1  # far exit was last round's choice
+    near_sticky = np.count_nonzero(choose_exit(np.repeat(sticky, n), fields, rng.random(n)) == 0)
     sticky_err = abs(near_sticky / n - 2 / 3)
 
     ok = plain_err < 0.01 and sticky_err < 0.01
@@ -266,9 +267,9 @@ def test_criterion_07_corridor_speed():
 
 def test_criterion_08_inertia_suppression():
     state = make_state(open_room_rows(25, 25, exits=[(0, 12)]))
-    agent = make_agent(0, (12, 12), v_max=3, k_i=5.0)
-    agent.chosen_exit = 0
-    agent.last_disp = (3, 0)  # one forced eastward round at full speed
+    agent = make_agents(state.grid, [(12, 12)], profiles=[make_profile(v_max=3, k_i=5.0)])
+    agent["chosen_exit"] = 0
+    agent["last_disp"] = (3, 0)  # one forced eastward round at full speed
     dist = agent_distribution(agent, state)
     backward = 0.0
     for (x, y), p in zip(dist.cells, dist.probs):

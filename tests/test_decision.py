@@ -12,7 +12,6 @@ from scipy import stats
 
 from evacsim import decision
 from evacsim.decision import (
-    Agent,
     SimulationError,
     choose_destination,
     choose_exit,
@@ -32,6 +31,7 @@ from helpers import (
     logw_static,
     logw_total,
     logw_wall,
+    make_agents,
     make_state,
     neighborhood,
     open_room_rows,
@@ -45,11 +45,14 @@ from helpers import (
 LN2 = math.log(2.0)
 
 
-def make_agent(pos, *, v_max=1, k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0,
-               k_e=0.0, exits=(0,), agent_id=0) -> Agent:
-    return Agent(id=agent_id, pos=pos, profile=AgentProfile(
-        v_max=v_max, k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p, k_e=k_e, allowed_exits=tuple(exits),
-    ))
+def make_agent(grid, pos, *, v_max=1, k_s=0.0, k_d=0.0, k_i=0.0, k_w=0.0, k_p=0.0, k_e=0.0, exits=(0,)):
+    """A one-row agent table on `grid`; its record, for the per-cell oracles, is `a[0]`."""
+    couplings = dict(k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p, k_e=k_e)
+    return make_agents(grid, [pos], profiles=[AgentProfile(v_max=v_max, allowed_exits=tuple(exits), **couplings)])
+
+
+# a grid for the oracles that read only an agent's own values
+OPEN_GRID = make_state(open_room_rows(21, 21, exits=[(0, 10)])).grid
 
 
 # ---------------------------------------------------------------- exit choice
@@ -59,8 +62,8 @@ TWO_EXIT_ROWS = ["WWWWWWWWW", "WE.....EW", "WWWWWWWWW"]  # S=2 left, S=4 right f
 
 def test_exit_weights_two_exits():
     state = make_state(TWO_EXIT_ROWS)
-    a = make_agent((3, 1), exits=(0, 1))
-    w = exit_weights([a], state.exit_dist)[0]
+    a = make_agent(state.grid, (3, 1), exits=(0, 1))
+    w = exit_weights(a, state.exit_dist)[0]
     assert len(w) == 2
     probs = w / w.sum()
     assert math.isclose(probs[0], 0.8, abs_tol=1e-12)
@@ -69,9 +72,9 @@ def test_exit_weights_two_exits():
 
 def test_exit_weights_with_persistence_on_far_exit():
     state = make_state(TWO_EXIT_ROWS)
-    a = make_agent((3, 1), k_e=1.0, exits=(0, 1))
-    a.chosen_exit = 1
-    w = exit_weights([a], state.exit_dist)[0]
+    a = make_agent(state.grid, (3, 1), k_e=1.0, exits=(0, 1))
+    a["chosen_exit"] = 1
+    w = exit_weights(a, state.exit_dist)[0]
     probs = w / w.sum()
     assert math.isclose(probs[0], 2 / 3, abs_tol=1e-12)
     assert math.isclose(probs[1], 1 / 3, abs_tol=1e-12)
@@ -79,20 +82,19 @@ def test_exit_weights_with_persistence_on_far_exit():
 
 def test_single_allowed_exit_is_certain():
     state = make_state(TWO_EXIT_ROWS)
-    a = make_agent((3, 1), exits=(1,))
+    a = make_agent(state.grid, (3, 1), exits=(1,))
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a.chosen_exit = None
-        assert choose_exit([a], state.exit_dist, rng.random(1))[0] == 1
-        assert a.chosen_exit == 1
+    for held in (-1, 0, 1) * 7:
+        a["chosen_exit"] = held
+        assert choose_exit(a, state.exit_dist, rng.random(1))[0] == 1
 
 
 def test_exit_distance_clamped_at_one_cell():
     # standing right on the exit: S=0 must act like S=1, not divide by zero
     rows = ["WWWW", "WE.W", "WWWW"]
     state = make_state(rows)
-    a = make_agent((1, 1))
-    w = exit_weights([a], state.exit_dist)[0]
+    a = make_agent(state.grid, (1, 1))
+    w = exit_weights(a, state.exit_dist)[0]
     assert w[0] == 1.0
 
 
@@ -103,8 +105,8 @@ def test_unreachable_exit_gets_zero_weight():
         "WWWWWWW",
     ]
     state = make_state(rows)
-    a = make_agent((2, 1), exits=(0, 1))
-    w = exit_weights([a], state.exit_dist)[0]
+    a = make_agent(state.grid, (2, 1), exits=(0, 1))
+    w = exit_weights(a, state.exit_dist)[0]
     assert w[1] == 0.0
     assert w[0] > 0.0
 
@@ -116,17 +118,18 @@ def test_all_exits_unreachable_raises():
         "WWWWWWW",
     ]
     state = make_state(rows)
-    a = make_agent((1, 1), exits=(0,))
-    with pytest.raises(SimulationError):
-        choose_exit([a], state.exit_dist, np.random.default_rng(0).random(1))
+    a = make_agent(state.grid, (1, 1), exits=(0,))
+    with pytest.raises(SimulationError) as err:
+        choose_exit(a, state.exit_dist, np.random.default_rng(0).random(1))
+    assert str(err.value) == "agent 0 cannot reach any allowed exit from (1, 1)"
 
 
 def test_choose_exit_frequencies():
     state = make_state(TWO_EXIT_ROWS)
-    a = make_agent((3, 1), exits=(0, 1))
+    a = make_agent(state.grid, (3, 1), exits=(0, 1))
     rng = np.random.default_rng(42)
     n = 20_000
-    chosen = choose_exit([a] * n, state.exit_dist, rng.random(n))
+    chosen = choose_exit(np.repeat(a, n), state.exit_dist, rng.random(n))
     hits = np.count_nonzero(chosen == 0)
     # binomial 5 sigma around 0.8
     assert abs(hits / n - 0.8) < 5 * math.sqrt(0.8 * 0.2 / n)
@@ -180,15 +183,15 @@ def test_crowd_counts_equal_the_shifted_slice_oracle(occ):
 
 def test_candidate_cells_open_v2():
     state = make_state(open_room_rows(11, 11, exits=[(0, 5)]))
-    a = make_agent((5, 5), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (5, 5), v_max=2)
+    a["chosen_exit"] = 0
     assert len(agent_distribution(a, state).cells) == 13
 
 
 def test_candidate_cells_excludes_other_agents_but_not_self():
     state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=[(5, 5), (6, 5)])
-    a = make_agent((5, 5), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (5, 5), v_max=2)
+    a["chosen_exit"] = 0
     cells = {(int(x), int(y)) for x, y in agent_distribution(a, state).cells}
     assert (5, 5) in cells
     assert (6, 5) not in cells
@@ -199,8 +202,8 @@ def test_boxed_in_agent_keeps_own_cell():
     others = [(4, 4), (5, 4), (6, 4), (4, 5), (6, 5), (4, 6), (5, 6), (6, 6),
               (3, 5), (7, 5), (5, 3), (5, 7)]
     state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
-    a = make_agent((5, 5), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (5, 5), v_max=2)
+    a["chosen_exit"] = 0
     cells = {(int(x), int(y)) for x, y in agent_distribution(a, state).cells}
     assert cells == {(5, 5)}
 
@@ -210,29 +213,29 @@ def test_boxed_in_agent_keeps_own_cell():
 def test_logw_static_values():
     state = make_state(["WWWWW", "WE..W", "WWWWW"])
     sf = state.exit_dist[0]
-    assert logw_static(make_agent((2, 1), k_s=0.0), (3, 1), sf) == 0.0
-    assert math.isclose(logw_static(make_agent((2, 1), k_s=1.0), (3, 1), sf), -2.0, abs_tol=1e-12)
+    assert logw_static(make_agent(state.grid, (2, 1), k_s=0.0)[0], (3, 1), sf) == 0.0
+    assert math.isclose(logw_static(make_agent(state.grid, (2, 1), k_s=1.0)[0], (3, 1), sf), -2.0, abs_tol=1e-12)
     # k_S=0.5 at distance 4
     state2 = make_state(["WWWWWWW", "WE....W", "WWWWWWW"])
     sf2 = state2.exit_dist[0]
-    assert math.isclose(logw_static(make_agent((2, 1), k_s=0.5), (5, 1), sf2), -2.0, abs_tol=1e-12)
+    assert math.isclose(logw_static(make_agent(state2.grid, (2, 1), k_s=0.5)[0], (5, 1), sf2), -2.0, abs_tol=1e-12)
 
 
 def test_logw_dynamic_values():
     state = make_state(open_room_rows(9, 9, exits=[(0, 4)]))
-    a = make_agent((4, 4), k_d=0.3)
+    a = make_agent(state.grid, (4, 4), k_d=0.3)[0]
     assert logw_dynamic(a, (5, 4), state.dyn_field) == 0.0  # zero field
     state.dyn_field.record_moves([((5, 4), (7, 3))])  # field at (5,4) becomes (2,-1)
     assert math.isclose(logw_dynamic(a, (5, 4), state.dyn_field), 0.6, abs_tol=1e-12)
     # stepping against a rightward trace of strength 2 is suppressed by -2
-    a2 = make_agent((4, 4), k_d=1.0)
+    a2 = make_agent(state.grid, (4, 4), k_d=1.0)[0]
     f = DynamicField(state.grid)
     f.record_moves([((3, 4), (5, 4))])
     assert math.isclose(logw_dynamic(a2, (3, 4), f), -2.0, abs_tol=1e-12)
 
 
 def test_logw_inertia_values():
-    a = make_agent((5, 5), k_i=0.5)
+    a = make_agent(OPEN_GRID, (5, 5), k_i=0.5)[0]
     a.last_disp = (2, 0)
     assert logw_inertia(a, (7, 5)) == 0.0  # straight on
     assert math.isclose(logw_inertia(a, (3, 5)), -2.0, abs_tol=1e-12)  # reversal
@@ -250,10 +253,10 @@ def test_logw_inertia_reflection_symmetry():
     for _ in range(200):
         last = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
         off = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        a1 = make_agent((10, 10), k_i=1.3)
+        a1 = make_agent(OPEN_GRID, (10, 10), k_i=1.3)[0]
         a1.last_disp = last
         v1 = logw_inertia(a1, (10 + off[0], 10 + off[1]))
-        a2 = make_agent((10, 10), k_i=1.3)
+        a2 = make_agent(OPEN_GRID, (10, 10), k_i=1.3)[0]
         a2.last_disp = (-last[0], last[1])
         v2 = logw_inertia(a2, (10 - off[0], 10 + off[1]))
         assert math.isclose(v1, v2, rel_tol=0, abs_tol=1e-12)
@@ -291,8 +294,8 @@ def test_softmax_shift_invariance():
 def test_two_candidate_distribution_is_two_thirds_one_third():
     # dead-end corridor: only the agent's cell (S=2) and the cell ahead (S=1)
     state = make_state(["WWWWW", "WE..W", "WWWWW"])
-    a = make_agent((3, 1), v_max=1, k_s=LN2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (3, 1), v_max=1, k_s=LN2)
+    a["chosen_exit"] = 0
     dist = agent_distribution(a, state)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert set(by_cell) == {(2, 1), (3, 1)}
@@ -304,12 +307,12 @@ def test_single_candidate_probability_one():
     others = [(4, 4), (5, 4), (6, 4), (4, 5), (6, 5), (4, 6), (5, 6), (6, 6),
               (3, 5), (7, 5), (5, 3), (5, 7)]
     state = make_state(open_room_rows(11, 11, exits=[(0, 5)]), others=others)
-    a = make_agent((5, 5), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (5, 5), v_max=2)
+    a["chosen_exit"] = 0
     dist = agent_distribution(a, state)
     assert len(dist.probs) == 1
     assert dist.probs[0] == 1.0
-    assert np.array_equal(choose_destination([a], state, np.random.default_rng(0).random(1)), [(5, 5)])
+    assert np.array_equal(choose_destination(a, state, np.random.default_rng(0).random(1)), [(5, 5)])
 
 
 def test_unreachable_candidates_get_zero_probability():
@@ -321,8 +324,8 @@ def test_unreachable_candidates_get_zero_probability():
         "WWWWW",
     ]
     state = make_state(rows)
-    a = make_agent((2, 1), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (2, 1), v_max=2)
+    a["chosen_exit"] = 0
     dist = agent_distribution(a, state)
     by_cell = {(int(x), int(y)): p for (x, y), p in zip(dist.cells, dist.probs)}
     assert (2, 3) in by_cell  # inside the disc, but sealed off the exit
@@ -338,6 +341,7 @@ def test_normalization_on_random_worlds():
         state.dyn_field.dx[:] = rng.integers(-1000, 1001, state.dyn_field.dx.shape)
         state.dyn_field.dy[:] = rng.integers(-1000, 1001, state.dyn_field.dy.shape)
         a = make_agent(
+            state.grid,
             (int(rng.integers(2, 13)), int(rng.integers(2, 13))),
             v_max=int(rng.integers(1, 5)),
             k_s=float(rng.uniform(0, 10)),
@@ -346,8 +350,8 @@ def test_normalization_on_random_worlds():
             k_w=float(rng.uniform(0, 10)),
             k_p=float(rng.uniform(0, 10)),
         )
-        a.chosen_exit = 0
-        a.last_disp = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        a["chosen_exit"] = 0
+        a["last_disp"] = (int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
         dist = agent_distribution(a, state)
         assert (dist.probs >= 0).all()
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
@@ -355,8 +359,8 @@ def test_normalization_on_random_worlds():
 
 def test_static_monotonicity():
     state = make_state(open_room_rows(13, 13, exits=[(0, 6)]))
-    a = make_agent((6, 6), v_max=2, k_s=0.8)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (6, 6), v_max=2, k_s=0.8)
+    a["chosen_exit"] = 0
     dist = agent_distribution(a, state)
     sf = state.exit_dist[0]
     pairs = [
@@ -370,15 +374,15 @@ def test_static_monotonicity():
 
 def test_zero_coupling_uniformity_chi_square():
     state = make_state(open_room_rows(17, 17, exits=[(0, 8)]))
-    a = make_agent((8, 8), v_max=2)
-    a.chosen_exit = 0
+    a = make_agent(state.grid, (8, 8), v_max=2)
+    a["chosen_exit"] = 0
     dist = agent_distribution(a, state)
     assert len(dist.probs) == 13
     assert np.allclose(dist.probs, 1 / 13, atol=1e-15)
     rng = np.random.default_rng(777)
     n = 20_000
     tally: dict[tuple[int, int], int] = {}
-    for c in map(tuple, choose_destination([a] * n, state, rng.random(n)).tolist()):
+    for c in map(tuple, choose_destination(np.repeat(a, n), state, rng.random(n)).tolist()):
         tally[c] = tally.get(c, 0) + 1
     observed = [tally.get((int(x), int(y)), 0) for x, y in dist.cells]
     res = stats.chisquare(observed)
@@ -389,20 +393,21 @@ def test_scalar_and_vector_paths_agree():
     rows = open_room_rows(13, 13, exits=[(0, 6)])
     state = make_state(rows, others=[(7, 7), (5, 6)])
     state.dyn_field.record_moves([((6, 5), (8, 5))] * 3 + [((5, 5), (5, 7))])
-    a = make_agent((6, 6), v_max=3, k_s=0.7, k_d=0.25, k_i=0.9, k_w=1.1, k_p=0.4)
-    a.chosen_exit = 0
-    a.last_disp = (1, -2)
+    a = make_agent(state.grid, (6, 6), v_max=3, k_s=0.7, k_d=0.25, k_i=0.9, k_w=1.1, k_p=0.4)
+    a["chosen_exit"] = 0
+    a["last_disp"] = (1, -2)
     dist = agent_distribution(a, state)
     sf = state.exit_dist[0]
+    rec = a[0]
     logs = []
     for x, y in dist.cells:
         cell = (int(x), int(y))
         logs.append(
-            logw_static(a, cell, sf)
-            + logw_dynamic(a, cell, state.dyn_field)
-            + logw_inertia(a, cell)
-            + logw_wall(cell, state.wall_dist, a.profile.k_w, state.config.w_max)
-            + logw_polite(cell, state.counts, a.profile.k_p)
+            logw_static(rec, cell, sf)
+            + logw_dynamic(rec, cell, state.dyn_field)
+            + logw_inertia(rec, cell)
+            + logw_wall(cell, state.wall_dist, float(rec.k[3]), state.config.w_max)
+            + logw_polite(cell, state.counts, float(rec.k[4]))
         )
     expected = softmax_from_log(np.array(logs))
     assert np.allclose(dist.probs, expected, rtol=0, atol=1e-12)
@@ -456,16 +461,17 @@ ZEROED_COUPLINGS = [
 
 def make_kernel_state(zeroed=None, zeroed_agents=()):
     rng = np.random.default_rng(31)
-    agents = []
+    cells = [pos for pos, *_ in KERNEL_AGENTS]
+    state = make_state(KERNEL_ROWS, w_max=2.5, others=cells)
+    profiles = []
     for i, (pos, v_max, (k_s, k_d, k_i, k_w, k_p, k_e), exits, last_exit, last_disp) in enumerate(KERNEL_AGENTS):
         couplings = dict(k_s=k_s, k_d=k_d, k_i=k_i, k_w=k_w, k_p=k_p)
         if i in zeroed_agents:
             couplings.update(zeroed)
-        a = make_agent(pos, v_max=v_max, k_e=k_e, exits=exits, agent_id=i, **couplings)
-        a.chosen_exit = last_exit
-        a.last_disp = last_disp
-        agents.append(a)
-    state = make_state(KERNEL_ROWS, w_max=2.5, others=[a.pos for a in agents])
+        profiles.append(AgentProfile(v_max=v_max, k_e=k_e, allowed_exits=exits, **couplings))
+    agents = make_agents(state.grid, cells, profiles=profiles)
+    agents["chosen_exit"] = [-1 if e is None else e for *_, e, _ in KERNEL_AGENTS]
+    agents["last_disp"] = [u for *_, u in KERNEL_AGENTS]
     state.dyn_field.dx[:] = rng.integers(-4, 5, state.dyn_field.dx.shape)
     state.dyn_field.dy[:] = rng.integers(-4, 5, state.dyn_field.dy.shape)
     return agents, state
@@ -479,8 +485,8 @@ def test_exit_kernel_rows_match_oracle():
         for e in range(state.grid.n_exits):
             assert math.isclose(row[e], exit_weight(a, e, state.exit_dist[e]), rel_tol=0, abs_tol=1e-12)
     chosen = choose_exit(agents, state.exit_dist, np.random.default_rng(8).random(len(agents)))
-    for a, e in zip(agents, chosen):
-        assert a.chosen_exit == e and e in a.profile.allowed_exits
+    for (*_, exits, _, _), e in zip(KERNEL_AGENTS, chosen.tolist()):
+        assert e in exits
 
 
 @pytest.mark.parametrize("block_rows", [2, decision.BLOCK_ROWS])
@@ -488,18 +494,19 @@ def test_destination_kernel_rows_match_oracle(monkeypatch, block_rows):
     monkeypatch.setattr(decision, "BLOCK_ROWS", block_rows)
     for zeroed, zeroed_agents in ZEROED_COUPLINGS:
         agents, state = make_kernel_state(zeroed, zeroed_agents)
-        choose_exit(agents, state.exit_dist, np.random.default_rng(9).random(len(agents)))
-        held = {a.pos for a in agents}
+        agents["chosen_exit"] = choose_exit(agents, state.exit_dist, np.random.default_rng(9).random(len(agents)))
+        held = set(map(tuple, agents["pos"].tolist()))
         seen = []
         for block in destination_distribution(agents, state):
             assert len(block.rows) <= block_rows
             for i, r in enumerate(block.rows):
                 a = agents[r]
                 seen.append(int(r))
+                pos = tuple(a.pos.tolist())
                 cand = block.candidate[i]
                 cells = [(int(x), int(y)) for x, y in block.origin[i] + block.offsets]
-                expected = {(int(x), int(y)) for x, y in neighborhood(a.pos, a.profile.v_max, state.grid)}
-                expected -= held - {a.pos}
+                expected = {(int(x), int(y)) for x, y in neighborhood(pos, int(a.v_max), state.grid)}
+                expected -= held - {pos}
                 assert {c for c, ok in zip(cells, cand) if ok} == expected
                 assert np.isneginf(block.logw[i][~cand]).all()
                 for c, ok, lw in zip(cells, cand, block.logw[i]):
@@ -536,18 +543,22 @@ def kernel_worlds(draw):
             profiles.append(AgentProfile(v_max=v, allowed_exits=exits, **couplings))
     n = int(rng.integers(1, len(floors) + 1))
     cells = [floors[i] for i in rng.choice(len(floors), size=n, replace=False)]
-    agents = []
+    rows = []
     for aid, (x, y) in zip(rng.choice(3 * n, size=n, replace=False).tolist(), cells):
         profile = profiles[int(rng.integers(len(profiles)))]
         usable = [e for e in (profile.allowed_exits or range(n_exits)) if reach[e, y, x]]
         if not usable:
             continue
-        a = Agent(id=aid, pos=(x, y), profile=profile, chosen_exit=usable[int(rng.integers(len(usable)))])
+        chosen = usable[int(rng.integers(len(usable)))]
         span = 2 * profile.v_max + 1
-        a.last_disp = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
-        agents.append(a)
-    assume(agents)
-    for x, y in (a.pos for a in agents):
+        last_disp = (int(rng.integers(-span, span + 1)), int(rng.integers(-span, span + 1)))
+        rows.append((aid, (x, y), profile, chosen, last_disp))
+    assume(rows)
+    ids, cells, row_profiles, chosen, last_disp = zip(*rows)
+    agents = make_agents(state.grid, cells, ids=ids, profiles=row_profiles)
+    agents["chosen_exit"] = chosen
+    agents["last_disp"] = last_disp
+    for x, y in cells:
         state.occupancy[y, x] = True
     state.counts = crowd_counts(state.occupancy)
     state.dyn_field.dx[:] = rng.integers(-5, 6, state.dyn_field.dx.shape)
@@ -559,13 +570,10 @@ def kernel_worlds(draw):
 @given(kernel_worlds(), st.sampled_from([3, decision.BLOCK_ROWS]))
 def test_kernels_equal_the_gather_oracle_bit_for_bit(world, block_rows):
     agents, state = world
-    held = [a.chosen_exit for a in agents]
     assert np.array_equal(exit_weights(agents, state.exit_dist), reference_exit_weights(agents, state.exit_dist))
-    for a in agents[::2]:
-        a.chosen_exit = None
-    assert np.array_equal(exit_weights(agents, state.exit_dist), reference_exit_weights(agents, state.exit_dist))
-    for a, e in zip(agents, held):
-        a.chosen_exit = e
+    unchosen = agents.copy()
+    unchosen["chosen_exit"][::2] = -1
+    assert np.array_equal(exit_weights(unchosen, state.exit_dist), reference_exit_weights(unchosen, state.exit_dist))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decision, "BLOCK_ROWS", block_rows)
         blocks = list(destination_distribution(agents, state))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from evacsim import cli, engine
-from evacsim.decision import Agent, SimulationError, choose_destination, choose_exit, crowd_counts, pair_column
+from evacsim.decision import SimulationError, choose_destination, choose_exit, crowd_counts
 from evacsim.engine import (
     PURPOSE_DESTINATION,
     PURPOSE_EXIT,
@@ -150,12 +150,11 @@ def test_round_records_each_net_move_at_its_start_cell():
     # without decay and diffusion the trace after one round is exactly the
     # sum of the agents' net moves, each at its round-start cell
     state = init_state(load("room"), SimConfig(seed=3, delta=0.0, alpha=0.0))
-    starts = {a.id: a.pos for a in state.agents}
+    starts = state.agents["pos"].tolist()
     run_round(state)
     expected_dx = np.zeros_like(state.dyn_field.dx)
     expected_dy = np.zeros_like(state.dyn_field.dy)
-    for a in state.agents:
-        (sx, sy), (x, y) = starts[a.id], a.pos
+    for (sx, sy), (x, y) in zip(starts, state.agents["pos"].tolist()):
         expected_dx[sy, sx] = x - sx
         expected_dy[sy, sx] = y - sy
     assert expected_dx.any() or expected_dy.any()
@@ -212,33 +211,77 @@ def test_occupancy_mirrors_alive_agents_after_each_round():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=5))
     for _ in range(6):
-        if not state.alive:
+        if not len(state.alive):
             break
         run_round(state)
         expected = np.zeros_like(state.occupancy)
-        for a in state.alive:
-            expected[a.pos[1], a.pos[0]] = True
+        for x, y in state.agents["pos"][state.alive].tolist():
+            expected[y, x] = True
         assert np.array_equal(state.occupancy, expected)
         assert np.array_equal(state.counts, crowd_counts(state.occupancy))
 
 
-def test_sealed_spawn_rejected_at_init():
+def test_agent_table_rows_hold_their_spawns_profiles():
+    # default `a` cells mixed with `agent` lines of two named profiles, one limited by an
+    # exits= list, the other given exits=all
+    rows = [
+        "WWWWWWWWW",
+        "W.a.....W",
+        "W.......E",
+        "W...a...W",
+        "W.......W",
+        "W.......W",
+        "WWWWEWWWW",
+    ]
+    spec = parse_scenario(rows_to_text(rows, [
+        "profile slow v_max=2 k_S=1.5 k_D=-0.25 k_I=0.5 k_W=1.0 k_P=0.75 k_E=2.0 exits=1",
+        "profile fast v_max=4 k_S=3.0 k_E=0.5 exits=all",
+        "agent 1 1 slow",
+        "agent 6 4 fast",
+        "agent 3 5 slow",
+    ]))
+    agents = init_state(spec, SimConfig()).agents
+    assert sorted(s.profile for s in spec.spawns) == ["default", "default", "fast", "slow", "slow"]
+    assert len(agents) == len(spec.spawns)
+    masks = {"default": [True, True], "slow": [False, True], "fast": [True, True]}
+    for i, (row, spawn) in enumerate(zip(agents, spec.spawns)):
+        p = spec.profiles[spawn.profile]
+        assert row.id == i
+        assert row.pos.tolist() == [spawn.x, spawn.y]
+        assert row.v_max == p.v_max
+        assert row.k.tolist() == [p.k_s, p.k_d, p.k_i, p.k_w, p.k_p]
+        assert row.k_e == p.k_e
+        assert row.allowed.tolist() == masks[spawn.profile]
+        assert row.chosen_exit == -1
+        assert row.last_disp.tolist() == [0, 0]
+    slow = agents[[s.profile == "slow" for s in spec.spawns]]
+    assert slow["v_max"].tolist() == [2, 2]
+    assert slow["k"].tolist() == [[1.5, -0.25, 0.5, 1.0, 0.75]] * 2
+    assert slow["k_e"].tolist() == [2.0, 2.0]
+
+
+def test_sealed_spawn_rejected_at_init(tmp_path, capsys):
     text = "WWWWW\nWaW.E\nWWWWW\n"
-    spec = parse_scenario(text)
-    with pytest.raises(SimulationError, match="cannot reach"):
-        init_state(spec, SimConfig(seed=0))
+    message = "agent 0 at (1, 1) cannot reach any of its allowed exits"
+    with pytest.raises(SimulationError) as err:
+        init_state(parse_scenario(text), SimConfig(seed=0))
+    assert str(err.value) == message
+    sealed = tmp_path / "sealed.txt"
+    sealed.write_text(text)
+    assert cli.main(["--scenario", str(sealed), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sealed.txt"]
 
 
 def test_chosen_exit_stays_in_allowed_set():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=9))
     for _ in range(8):
-        if not state.alive:
+        if not len(state.alive):
             break
         run_round(state)
-        for a in state.agents:
-            if a.chosen_exit is not None:
-                assert a.chosen_exit in (a.profile.allowed_exits or range(state.grid.n_exits))
+        for spawn, e in zip(spec.spawns, state.agents["chosen_exit"].tolist()):
+            assert e in (spec.profiles[spawn.profile].allowed_exits or range(state.grid.n_exits))
 
 
 # ------------------------------------------------------- statistical behavior
@@ -248,18 +291,18 @@ def test_zero_coupling_agent_performs_lazy_uniform_walk():
     text = rows_to_text(rows, ["profile default v_max=1 k_S=0", "agent 8 8 default"])
     spec = parse_scenario(text)
     state = init_state(spec, SimConfig(seed=1234, max_rounds=10**9))
-    agent = state.agents[0]
+    agent = state.agents[0]  # a record, a view of the table's row
     tally: dict[tuple[int, int], int] = {}
     n = 4000
     for _ in range(n):
         agent.pos = (8, 8)
-        state.alive = [agent]
+        state.alive = np.array([0])
         agent.last_disp = (0, 0)
         state.occupancy[:] = False
         state.occupancy[8, 8] = True
         state.counts = crowd_counts(state.occupancy)
         run_round(state)
-        d = (agent.pos[0] - 8, agent.pos[1] - 8)
+        d = tuple((agent.pos - 8).tolist())
         tally[d] = tally.get(d, 0) + 1
     assert set(tally) <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
     observed = [tally.get(d, 0) for d in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
@@ -275,7 +318,7 @@ def capture_draws(monkeypatch, state) -> dict[str, dict]:
 
     def spy(key, kernel):
         def wrapped(agents, where, u):
-            draws[key].update((a.id, float(x)) for a, x in zip(agents, u))
+            draws[key].update(zip(agents["id"].tolist(), u.tolist()))
             return kernel(agents, where, u)
         return wrapped
 
@@ -283,7 +326,7 @@ def capture_draws(monkeypatch, state) -> dict[str, dict]:
     monkeypatch.setattr(engine, "choose_destination", spy("dest", engine.choose_destination))
     run_round(state)
     monkeypatch.undo()
-    draws["chosen"] = {a.id: a.chosen_exit for a in state.agents}
+    draws["chosen"] = dict(enumerate(state.agents["chosen_exit"].tolist()))
     return draws
 
 
@@ -291,17 +334,18 @@ def test_removing_an_agent_keeps_the_others_draws(monkeypatch):
     spec = load("room")
     full = init_state(spec, SimConfig(seed=21))
     less = init_state(spec, SimConfig(seed=21))
-    gone = less.agents[4]
-    less.alive.remove(gone)
-    less.occupancy[gone.pos[1], gone.pos[0]] = False
+    gone = 4
+    less.alive = less.alive[less.alive != gone]
+    x, y = less.agents["pos"][gone]
+    less.occupancy[y, x] = False
     less.counts = crowd_counts(less.occupancy)
     a = capture_draws(monkeypatch, full)
     b = capture_draws(monkeypatch, less)
-    assert set(b["exit"]) == set(a["exit"]) - {gone.id}
+    assert set(b["exit"]) == set(a["exit"]) - {gone}
     for key in ("exit", "dest"):
-        assert b[key] == {aid: u for aid, u in a[key].items() if aid != gone.id}
-    assert {aid: e for aid, e in b["chosen"].items() if aid != gone.id} == {
-        aid: e for aid, e in a["chosen"].items() if aid != gone.id
+        assert b[key] == {aid: u for aid, u in a[key].items() if aid != gone}
+    assert {aid: e for aid, e in b["chosen"].items() if aid != gone} == {
+        aid: e for aid, e in a["chosen"].items() if aid != gone
     }
 
 
@@ -309,75 +353,74 @@ def test_exit_and_destination_choice_ignore_the_order_of_the_agent_list():
     state = init_state(load("room"), SimConfig(seed=3))
     for _ in range(2):
         run_round(state)
-    alive = state.alive
-    assert len({a.profile.v_max for a in alive}) > 1
+    alive = state.agents[state.alive]
+    assert len(set(alive["v_max"].tolist())) > 1
     u_exit, u_dest = np.random.default_rng(0).random((2, len(state.agents)))
-    held = {a.id: a.chosen_exit for a in alive}
 
     def choose(agents):
-        for a in agents:
-            a.chosen_exit = held[a.id]  # the persistence bonus reads the exit held before the call
-        ids = [a.id for a in agents]
-        exits = choose_exit(agents, state.exit_dist, u_exit[ids])
+        # each call gets its own copy of the rows, so the persistence bonus reads the exit held before it
+        ids = agents["id"]
+        agents["chosen_exit"] = exits = choose_exit(agents, state.exit_dist, u_exit[ids])
         cells = choose_destination(agents, state, u_dest[ids])
-        return {a.id: (e, c) for a, e, c in zip(agents, exits.tolist(), map(tuple, cells.tolist()))}
+        return dict(zip(ids.tolist(), zip(exits.tolist(), map(tuple, cells.tolist()))))
 
-    expected = choose(list(alive))
+    expected = choose(alive.copy())
     rng = np.random.default_rng(1)
     for _ in range(20):
-        assert choose([alive[i] for i in rng.permutation(len(alive))]) == expected
+        assert choose(alive[rng.permutation(len(alive))]) == expected
 
 
 def test_movement_ignores_the_order_of_the_agent_list():
-    # step tokens are laid out by agent id before the shuffle, so a permuted list
-    # moves every agent the same way; the id-keyed reference agrees
+    # step tokens are laid out by agent id before the shuffle, so permuted rows
+    # move every agent the same way; the id-keyed reference agrees
     state = init_state(load("room"), SimConfig(seed=3))
     for _ in range(2):
         run_round(state)
-    alive = state.alive
+    ids = state.alive
+    alive = state.agents[ids]
     n = len(state.agents)
-    ids = [a.id for a in alive]
-    choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
+    alive["chosen_exit"] = choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
     cells = choose_destination(alive, state, derive_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
-    destinations = dict(zip(ids, map(tuple, cells.tolist())))
-    assert sum(chebyshev(a.pos, destinations[a.id]) for a in alive) > len(alive)
+    destinations = dict(zip(ids.tolist(), map(tuple, cells.tolist())))
+    starts = dict(zip(ids.tolist(), map(tuple, alive["pos"].tolist())))
+    assert sum(chebyshev(starts[aid], cell) for aid, cell in destinations.items()) > len(alive)
 
     def move(agents, execute):
-        twins = [Agent(id=a.id, pos=a.pos, profile=a.profile) for a in agents]
+        twins = agents.copy()
         steps = execute(twins, destinations, state.grid, derive_stream(3, 2, PURPOSE_MOVEMENT))
-        return {a.id: a.pos for a in twins}, steps
+        return dict(zip(twins["id"].tolist(), map(tuple, twins["pos"].tolist()))), steps
 
     def flat(agents, destinations, grid, rng):
-        steps = execute_round(agents, dest_table(destinations), grid, rng).steps
-        return list(map(tuple, step_coords(steps, grid.width).tolist()))
+        moved = execute_round(agents, dest_table(destinations), grid, rng)
+        agents["pos"] = moved.end
+        return list(map(tuple, step_coords(moved.steps, grid.width).tolist()))
 
     expected = move(alive, reference_execute_round)
     assert move(alive, flat) == expected
     rng = np.random.default_rng(2)
     for _ in range(20):
-        assert move([alive[i] for i in rng.permutation(len(alive))], flat) == expected
+        assert move(alive[rng.permutation(len(alive))], flat) == expected
 
 
 def test_alive_list_stays_in_ascending_id_order():
     # the trajectory lists each round's agents in list order, so its bytes rest on this order
     for seed in range(3):
         state = init_state(load("room"), SimConfig(seed=seed))
-        while state.alive and state.t < state.config.max_rounds:
+        while len(state.alive) and state.t < state.config.max_rounds:
             run_round(state)
-            ids = [a.id for a in state.alive]
+            ids = state.alive.tolist()
             assert all(a < b for a, b in zip(ids, ids[1:]))
 
 
 def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
     spec = load("room")
     state = init_state(spec, SimConfig(seed=0))
-    a, b = state.agents[:2]
-    state.occupancy[b.pos[1], b.pos[0]] = False
-    b.pos = a.pos
+    pos = state.agents["pos"]
+    state.occupancy[pos[1, 1], pos[1, 0]] = False
+    pos[1] = pos[0]
     state.counts = crowd_counts(state.occupancy)
     def stay(agents, destinations, grid, rng):
-        cells = pair_column([a.pos for a in agents])
-        return RoundExecution(np.empty((0, 3), dtype=np.int64), cells, cells)
+        return RoundExecution(np.empty((0, 3), dtype=np.int64), np.array(agents["pos"]))
 
     monkeypatch.setattr(engine, "execute_round", stay)
     with pytest.raises(SimulationError, match="two agents"):
@@ -438,7 +481,9 @@ def test_benchmark_layer_trace_wraps_engine_names(tmp_path, capsys):
     assert counts["static_field.calls"] == 2  # one exit stack, one wall field
     assert counts["decision.calls"] == 2 * rounds
     assert counts["engine.streams"] == 4 * rounds
-    assert 0 < counts["movement.steps"] <= counts["movement.tokens"]
+    # the movement hook reads each agent row's `pos` and `id` from execute_round's first argument
+    assert (counts["movement.tokens"], counts["movement.steps"]) == (157, 153)
+    assert (counts["decision.calls"], counts["engine.streams"]) == (40, 80)
 
     with layertrace.installed(layertrace.LayerTrace()) as trace:
         argv = ["--scenario", str(SCENARIOS / "room.txt"), "--seeds", "2", "--out", str(tmp_path), "--emit", "summary"]

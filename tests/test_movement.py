@@ -13,7 +13,7 @@ from evacsim.movement import build_step_sequence, execute_round, move_tiers, tie
 from evacsim.scenario import FLOOR, MAX_V_MAX, Grid
 
 from helpers import (
-    chebyshev, dest_table, flat_execute_step, kind_from_rows, make_agent, neighborhood, random_kind,
+    chebyshev, dest_table, flat_execute_step, kind_from_rows, make_agents, make_profile, neighborhood, random_kind,
     reference_execute_round, step_coords, step_moves,
 )
 
@@ -25,7 +25,7 @@ def open_grid(w: int, h: int) -> Grid:
 def first_step(grid: Grid, pos, dest, rng, held=()):
     """The cell of the first step of a lone mover from `pos` toward `dest`, with agents
     that stay put on the `held` cells; None when it takes no step."""
-    agents = [make_agent(i, p) for i, p in enumerate([pos, *held])]
+    agents = make_agents(grid, [pos, *held])
     dests = dest_table(dict(enumerate([dest, *held])))
     steps = step_coords(execute_round(agents, dests, grid, rng).steps, grid.width)
     return tuple(steps[0, 3:].tolist()) if len(steps) else None
@@ -69,10 +69,13 @@ def test_step_tie_is_uniform():
     g = open_grid(6, 6)
     n = 20_000
     rng = np.random.default_rng(99)
+    # the direct diagonal is held; execute_round leaves the rows as they were, so one table serves every draw
+    agents = make_agents(g, [(0, 0), (1, 1)])
+    dests = dest_table({0: (2, 2), 1: (1, 1)})
     picks = {(1, 0): 0, (0, 1): 0}
     for _ in range(n):
-        new = first_step(g, (0, 0), (2, 2), rng, held=[(1, 1)])  # the direct diagonal is held
-        picks[new] += 1
+        steps = step_coords(execute_round(agents, dests, g, rng).steps, g.width)
+        picks[tuple(steps[0, 3:].tolist())] += 1
     assert set(picks) == {(1, 0), (0, 1)}
     sigma = math.sqrt(0.25 / n)
     assert abs(picks[(1, 0)] / n - 0.5) <= 5 * sigma
@@ -95,17 +98,18 @@ def test_step_finished_when_surrounded():
 
 def test_round_walks_to_destination_on_open_floor():
     g = open_grid(9, 9)
-    a = make_agent(0, (1, 1))
-    result = execute_round([a], dest_table({0: (4, 3)}), g, np.random.default_rng(5))
-    assert a.pos == (4, 3)
+    a = make_agents(g, [(1, 1)])
+    result = execute_round(a, dest_table({0: (4, 3)}), g, np.random.default_rng(5))
+    assert result.end.tolist() == [[4, 3]]
+    assert a["pos"].tolist() == [[1, 1]]  # the rows are left as they were
     assert len(result.steps) == 3
 
 
 def test_round_with_destination_on_own_cell():
     g = open_grid(9, 9)
-    a = make_agent(0, (4, 4))
-    result = execute_round([a], dest_table({0: (4, 4)}), g, np.random.default_rng(5))
-    assert a.pos == (4, 4)
+    a = make_agents(g, [(4, 4)])
+    result = execute_round(a, dest_table({0: (4, 4)}), g, np.random.default_rng(5))
+    assert result.end.tolist() == [[4, 4]]
     assert np.array_equal(result.steps, np.empty((0, 3), dtype=np.int64))
 
 
@@ -119,11 +123,11 @@ def test_crossing_agents_one_claims_the_gap():
     ]
     g = Grid.from_kind(kind_from_rows(rows))
     for seed in range(40):
-        a = make_agent(0, (2, 1))
-        b = make_agent(1, (4, 1))
-        execute_round([a, b], dest_table({0: (4, 1), 1: (2, 1)}), g, np.random.default_rng(seed))
-        assert {a.pos, b.pos} in ({(3, 1), (4, 1)}, {(2, 1), (3, 1)})
-        moved = int(a.pos != (2, 1)) + int(b.pos != (4, 1))
+        agents = make_agents(g, [(2, 1), (4, 1)])
+        result = execute_round(agents, dest_table({0: (4, 1), 1: (2, 1)}), g, np.random.default_rng(seed))
+        a, b = map(tuple, result.end.tolist())
+        assert {a, b} in ({(3, 1), (4, 1)}, {(2, 1), (3, 1)})
+        moved = int(a != (2, 1)) + int(b != (4, 1))
         assert moved == 1
 
 
@@ -134,36 +138,37 @@ def test_deflected_steps_stay_inside_destination_radius():
     # step but end at offset (2, 1), length sqrt(5) > 2
     g = open_grid(7, 5)
     for seed in range(20):
-        a = make_agent(0, (2, 2), v_max=2)
-        blockers = [make_agent(1, (3, 2)), make_agent(2, (4, 2))]
+        # the mover, then two blockers
+        profiles = [make_profile(v_max=2), make_profile(), make_profile()]
+        agents = make_agents(g, [(2, 2), (3, 2), (4, 2)], profiles=profiles)
         dests = dest_table({0: (4, 2), 1: (3, 2), 2: (4, 2)})
-        execute_round([a, *blockers], dests, g, np.random.default_rng(seed))
-        assert a.pos in {(3, 1), (3, 3)}
-        assert math.dist((2, 2), a.pos) <= 2
+        a = tuple(execute_round(agents, dests, g, np.random.default_rng(seed)).end[0].tolist())
+        assert a in {(3, 1), (3, 3)}
+        assert math.dist((2, 2), a) <= 2
 
 
 def test_steps_strictly_decrease_distance_and_respect_blocking():
     rng = np.random.default_rng(123)
     g = open_grid(12, 12)
+    v_max = 3
     for trial in range(30):
-        agents = []
-        taken = set()
-        while len(agents) < 14:
+        cells = []
+        while len(cells) < 14:
             p = (int(rng.integers(0, 12)), int(rng.integers(0, 12)))
-            if p not in taken:
-                taken.add(p)
-                agents.append(make_agent(len(agents), p, v_max=3))
-        occupied = set(taken)
+            if p not in cells:
+                cells.append(p)
+        occupied = set(cells)
         dests = {}
-        for a in agents:
+        for aid, p in enumerate(cells):
             options = [
                 (int(x), int(y))
-                for x, y in neighborhood(a.pos, a.profile.v_max, g)
-                if (int(x), int(y)) == a.pos or (int(x), int(y)) not in occupied
+                for x, y in neighborhood(p, v_max, g)
+                if (int(x), int(y)) == p or (int(x), int(y)) not in occupied
             ]
-            dests[a.id] = options[int(rng.integers(len(options)))]
-        starts = {a.id: a.pos for a in agents}
-        result = execute_round(agents, dest_table(dests), g, np.random.default_rng(1000 + trial))
+            dests[aid] = options[int(rng.integers(len(options)))]
+        starts = dict(enumerate(cells))
+        result = execute_round(make_agents(g, cells), dest_table(dests), g, np.random.default_rng(1000 + trial))
+        ends = dict(enumerate(map(tuple, result.end.tolist())))
         steps = step_coords(result.steps, g.width).tolist()
 
         # replay: every step's target was unblocked at its time, blocked after
@@ -180,14 +185,13 @@ def test_steps_strictly_decrease_distance_and_respect_blocking():
         step_counts: dict[int, int] = {}
         for aid, *_ in steps:
             step_counts[aid] = step_counts.get(aid, 0) + 1
-        for a in agents:
-            assert step_counts.get(a.id, 0) <= chebyshev(starts[a.id], dests[a.id])
-            assert chebyshev(starts[a.id], a.pos) <= a.profile.v_max
-            assert math.dist(starts[a.id], a.pos) <= math.dist(starts[a.id], dests[a.id])
+        for aid, end in ends.items():
+            assert step_counts.get(aid, 0) <= chebyshev(starts[aid], dests[aid])
+            assert chebyshev(starts[aid], end) <= v_max
+            assert math.dist(starts[aid], end) <= math.dist(starts[aid], dests[aid])
 
         # end-of-round exclusion
-        finals = [a.pos for a in agents]
-        assert len(set(finals)) == len(finals)
+        assert len(set(ends.values())) == len(ends)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -209,8 +213,8 @@ def test_round_equals_reference_on_walled_grids(world_seed, move_seed):
         options = [(int(x), int(y)) for x, y in neighborhood(p, v, g)]
         options = [c for c in options if c == p or c not in taken]
         dests[aid] = options[int(rng.integers(len(options)))]
-    agents = [make_agent(aid, p, v_max=v) for aid, p, v in zip(ids, cells, v_max)]
-    twins = [make_agent(aid, p, v_max=v) for aid, p, v in zip(ids, cells, v_max)]
+    agents = make_agents(g, cells, ids=ids, profiles=[make_profile(v_max=v) for v in v_max])
+    twins = agents.copy()
 
     flat_rng = np.random.default_rng(move_seed)
     reference_rng = np.random.default_rng(move_seed)
@@ -218,21 +222,20 @@ def test_round_equals_reference_on_walled_grids(world_seed, move_seed):
     steps = step_coords(result.steps, g.width)
     expected = reference_execute_round(twins, dests, g, reference_rng)
     assert np.array_equal(steps, np.array(expected, dtype=np.int64).reshape(-1, 5))
-    assert [a.pos for a in agents] == [b.pos for b in twins]
+    assert np.array_equal(result.end, twins["pos"])
     assert flat_rng.bit_generator.state == reference_rng.bit_generator.state
-    assert np.array_equal(result.start, np.array(cells, dtype=np.int64))
-    assert np.array_equal(result.end, np.array([a.pos for a in agents], dtype=np.int64))
+    assert np.array_equal(agents["pos"], np.array(cells, dtype=np.int64))
 
     held = set(cells)
     for aid, fx, fy, tx, ty in steps.tolist():
         assert (tx, ty) not in held
         held.add((tx, ty))
         assert math.dist((tx, ty), dests[aid]) < math.dist((fx, fy), dests[aid])
-    for a, start in zip(agents, cells):
-        dx, dy = a.pos[0] - start[0], a.pos[1] - start[1]
-        rx, ry = dests[a.id][0] - start[0], dests[a.id][1] - start[1]
+    finals = list(map(tuple, result.end.tolist()))
+    for aid, start, end in zip(ids, cells, finals):
+        dx, dy = end[0] - start[0], end[1] - start[1]
+        rx, ry = dests[aid][0] - start[0], dests[aid][1] - start[1]
         assert dx * dx + dy * dy <= rx * rx + ry * ry
-    finals = [a.pos for a in agents]
     assert len(set(finals)) == len(finals)
 
 
@@ -288,8 +291,8 @@ def test_tier_table_stays_bounded(monkeypatch):
             for i, p in enumerate(cells):
                 options = [c for c in map(tuple, neighborhood(p, MAX_V_MAX, g).tolist()) if c == p or c not in cells]
                 dests[i] = options[int(rng.integers(len(options)))]
-            agents = [make_agent(i, p, v_max=MAX_V_MAX) for i, p in enumerate(cells)]
-            twins = [make_agent(i, p, v_max=MAX_V_MAX) for i, p in enumerate(cells)]
+            agents = make_agents(g, cells, profiles=[make_profile(v_max=MAX_V_MAX)] * len(cells))
+            twins = agents.copy()
             result = execute_round(agents, dest_table(dests), g, np.random.default_rng(trial))
             expected = reference_execute_round(twins, dests, g, np.random.default_rng(trial))
             assert np.array_equal(step_coords(result.steps, g.width), np.array(expected, dtype=np.int64).reshape(-1, 5))
