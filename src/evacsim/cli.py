@@ -87,10 +87,13 @@ def _table_text(header: str, table: np.ndarray, sep: str) -> str:
 
 
 def heatmap_bytes(result: SimResult) -> str:
-    """Cumulative visit counts rescaled to 0..255, PGM P2 text."""
-    peak = int(result.density.max())
-    scaled = result.density if peak == 0 else result.density * 255 // peak
-    return _table_text(f"P2\n{scaled.shape[1]} {scaled.shape[0]}\n255", scaled, " ")
+    """Visits per cell, counted from the trajectory's rows, rescaled to 0..255; PGM P2 text."""
+    width, height = result.grid.width, result.grid.height
+    _, _, xs, ys = result.trajectory.T
+    visits = np.bincount(ys * width + xs, minlength=width * height).reshape(height, width)
+    peak = int(visits.max())
+    scaled = visits if peak == 0 else visits * 255 // peak
+    return _table_text(f"P2\n{width} {height}\n255", scaled, " ")
 
 
 def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:

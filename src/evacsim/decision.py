@@ -142,7 +142,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
 
     Reads the start-of-round `state`: grid, exit and wall distances, trace
     field, crowd counts, occupancy and `config.w_max`. Every row needs a
-    chosen exit. The log weight of candidate c for an agent at p is
+    chosen exit (-1 raises). The log weight of candidate c for an agent at p is
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
     - k_W (w_max - W(c)) - k_P crowd(c), u being the last displacement
     and phi the turn angle from u to v = c - p (no inertia term while either
@@ -153,6 +153,9 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
     pos = agents["pos"]
     last = agents["last_disp"]
     chosen = agents["chosen_exit"]
+    unset = np.flatnonzero(chosen < 0)
+    if unset.size:
+        raise SimulationError(f"agent {agents[int(unset[0])].id} has no chosen exit")
     v_max = agents["v_max"]
     k = agents["k"]
     width, height = state.grid.width, state.grid.height

@@ -5,11 +5,11 @@ Randomness discipline: every random draw comes from a stream keyed by
 seed. Exit and destination choice each draw one uniform per agent id from a
 single per-round stream, so an agent's draws do not depend on which other
 agents are still in the room. One round models one second; one cell edge is
-0.4 m. A round takes the rows of the agents still in the room from the agent
-table (`agent_table`) once, and stores them back once. End-of-round
-bookkeeping runs on arrays of the agents' final cells, and a round records
-integer columns, not tuples: its agents' ids and end cells and its step rows,
-which the finished run joins into its tables.
+0.4 m. The agent table (`agent_table`) holds the rows of the agents still in
+the room; a round updates them in place and drops the rows of those that left.
+End-of-round bookkeeping runs on arrays of the agents' final cells, and a round
+records integer columns, not tuples: its agents' ids and end cells and its step
+rows, which the finished run joins into its tables.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.G
 class SimState:
     """Everything a run reads and mutates round to round.
 
-    `agents` is the agent table (see `agent_table`), `alive` the ascending
-    ids of the agents still in the room.
+    `agents` is the agent table (see `agent_table`) of the agents still in
+    the room, in ascending id order.
     `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
     the (H, W) wall distance clamped to `config.w_max`; both are read-only.
     Round r records its agents' ids and end (x, y) (round 0: the spawns) and its step rows in
@@ -54,13 +54,11 @@ class SimState:
     grid: Grid
     config: SimConfig
     agents: np.ndarray
-    alive: np.ndarray
     exit_dist: np.ndarray
     wall_dist: np.ndarray
     dyn_field: DynamicField
     occupancy: np.ndarray
     counts: np.ndarray
-    density: np.ndarray
     t: int = 0
     round_ids: list[np.ndarray] = field(default_factory=list)
     round_cells: list[np.ndarray] = field(default_factory=list)
@@ -72,8 +70,8 @@ class SimState:
 @dataclass
 class SimResult:
     """Observables of one finished run. `trajectory` is the (n, 4) int64 table of (round, agent, x, y),
-    round 0 the spawn, each round by ascending id; `step_log` the (n, 7) int64 table of (round, step,
-    agent, from_x, from_y, to_x, to_y), `step` counting each round's steps from 0."""
+    round 0 the spawn, each round by ascending id, exits included; `step_log` the (n, 7) int64 table of
+    (round, step, agent, from_x, from_y, to_x, to_y), `step` counting each round's steps from 0."""
 
     evacuation_rounds: int | None
     agents_total: int
@@ -81,7 +79,6 @@ class SimResult:
     alive_counts: list[int]
     exit_rounds: dict[int, int]
     trajectory: np.ndarray
-    density: np.ndarray
     step_log: np.ndarray
     grid: Grid
 
@@ -91,9 +88,9 @@ class SimResult:
 
 
 def agent_table(spec: ScenarioSpec) -> np.ndarray:
-    """The agent table: one row per spawn, row i being agent i, with the fields `id`, `pos` (x, y), `last_disp`
-    (dx, dy) of its last round, `chosen_exit` (-1 before its first choice), and its profile's `v_max`, `k`
-    (k_S, k_D, k_I, k_W, k_P), `k_e` and `allowed`, the mask of the exits it may use.
+    """The agent table at spawn, row i being agent i: the fields `id`, `pos` (x, y), `last_disp` (dx, dy)
+    of its last round, `chosen_exit` (-1 before its first choice), and its profile's `v_max`, `k` (k_S,
+    k_D, k_I, k_W, k_P), `k_e` and `allowed`, the mask of the exits it may use.
 
     Its elements are `np.record`s, so a row reads its fields as attributes (`row.pos`) and a column is a
     plain field read (`agents["pos"]`). Built a column at a time: one profile index per spawn into small
@@ -151,17 +148,14 @@ def init_state(
         grid=grid,
         config=config,
         agents=agents,
-        alive=np.arange(len(agents)),
         exit_dist=exit_dist,
         wall_dist=wall_dist,
         dyn_field=DynamicField(grid),
         occupancy=occupancy,
         counts=crowd_counts(occupancy),
-        density=np.zeros((grid.height, grid.width), dtype=np.int64),
     )
-    state.round_ids.append(state.alive)
+    state.round_ids.append(agents["id"].copy())
     state.round_cells.append(pos)
-    np.add.at(state.density, (ys, xs), 1)
     state.alive_counts.append(len(agents))
     return state
 
@@ -171,9 +165,9 @@ def run_round(state: SimState) -> None:
     cfg = state.config
     seed = cfg.seed
     t = state.t
-    ids = state.alive
-    rows = state.agents[ids]
-    n = len(state.agents)
+    rows = state.agents
+    ids = rows["id"].copy()  # the round's record, which must not hold this table once it is replaced
+    n = state.alive_counts[0]  # the spawns: one draw per agent id, whoever has left
 
     rows["chosen_exit"] = choose_exit(rows, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
     destinations = np.zeros((n, 2), dtype=np.int64)
@@ -190,9 +184,7 @@ def run_round(state: SimState) -> None:
     state.round_steps.append(moved.steps)
     rows["last_disp"] = moved.end - start
     rows["pos"] = moved.end
-    state.agents[ids] = rows
     xs, ys = moved.end.T
-    np.add.at(state.density, (ys, xs), 1)
     out = state.grid.kind[ys, xs] == EXIT
     state.exit_rounds.update(dict.fromkeys(ids[out].tolist(), round_no))
     stay = ~out
@@ -203,8 +195,8 @@ def run_round(state: SimState) -> None:
         cell = tuple(held[counts > 1][0].tolist())
         raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
-    state.alive = ids[stay]
-    state.alive_counts.append(len(state.alive))
+    state.agents = rows[stay]
+    state.alive_counts.append(len(state.agents))
     state.t = round_no
 
 
@@ -219,12 +211,11 @@ def run_simulation(
     trajectory, step_log = record_tables(state)
     return SimResult(
         evacuation_rounds=state.t if evacuated else None,
-        agents_total=len(state.agents),
+        agents_total=state.alive_counts[0],
         seed=config.seed,
         alive_counts=state.alive_counts,
         exit_rounds=state.exit_rounds,
         trajectory=trajectory,
-        density=state.density,
         step_log=step_log,
         grid=state.grid,
     )

@@ -71,13 +71,6 @@ class Grid:
     def height(self) -> int:
         return self.kind.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return np.array_equal(self.kind, other.kind) and np.array_equal(
-            self.exit_id, other.exit_id
-        )
-
     @classmethod
     def from_kind(cls, kind: np.ndarray) -> "Grid":
         kind = np.ascontiguousarray(kind, dtype=np.int8)

@@ -33,7 +33,8 @@ shifted add per von Neumann direction.
 `reference_crowd_counts` is the crowd count as it stood before the box sum:
 eight shifted slices of one padded `int32` array.
 `render_scenario` writes a spec back as scenario text, so the parser's
-round-trip tests can compare `parse_scenario(render_scenario(spec))` to it.
+round-trip tests can compare `parse_scenario(render_scenario(spec))` to it
+with `same_spec`.
 """
 
 from __future__ import annotations
@@ -192,6 +193,20 @@ def render_scenario(spec) -> str:
         lines.append(f"profile {name} {fields} exits={exits}")
     lines.extend(directives)
     return "\n".join(lines) + "\n"
+
+
+def same_spec(a, b) -> bool:
+    """Whether two specs hold equal grids (`kind`, `exit_id`, `steps`, `n_exits`), profiles and spawns.
+
+    `Grid` compares by identity, so two parses of one text are never `==`.
+    """
+    arrays = [(getattr(a.grid, name), getattr(b.grid, name)) for name in ("kind", "exit_id", "steps")]
+    return (
+        all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in arrays)
+        and a.grid.n_exits == b.grid.n_exits
+        and a.profiles == b.profiles
+        and a.spawns == b.spawns
+    )
 
 
 def make_profile(v_max=3, exits=(0,), **couplings):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import importlib.util
 import math
@@ -103,7 +104,6 @@ def test_same_seed_reproduces_run_exactly():
     r2 = run_simulation(spec, SimConfig(seed=3))
     assert np.array_equal(r1.trajectory, r2.trajectory)
     assert np.array_equal(r1.step_log, r2.step_log)
-    assert np.array_equal(r1.density, r2.density)
     assert r1.evacuation_rounds == r2.evacuation_rounds
 
 
@@ -125,6 +125,9 @@ def test_max_rounds_caps_run_without_error():
 def test_alive_counts_monotone_and_trajectory_contiguous():
     spec = load("room")
     result = run_simulation(spec, SimConfig(seed=7))
+    # everyone left, so the final agent table is empty, but the total still counts the spawns
+    assert result.evacuation_rounds is not None
+    assert result.agents_total == result.alive_counts[0] == len(spec.spawns)
     for earlier, later in zip(result.alive_counts, result.alive_counts[1:]):
         assert later <= earlier
     rounds_by_agent: dict[int, list[int]] = {}
@@ -150,11 +153,11 @@ def test_round_records_each_net_move_at_its_start_cell():
     # without decay and diffusion the trace after one round is exactly the
     # sum of the agents' net moves, each at its round-start cell
     state = init_state(load("room"), SimConfig(seed=3, delta=0.0, alpha=0.0))
-    starts = state.agents["pos"].tolist()
     run_round(state)
     expected_dx = np.zeros_like(state.dyn_field.dx)
     expected_dy = np.zeros_like(state.dyn_field.dy)
-    for (sx, sy), (x, y) in zip(starts, state.agents["pos"].tolist()):
+    # rounds 0 and 1 record the same agents in the same order, departures included
+    for (sx, sy), (x, y) in zip(state.round_cells[0].tolist(), state.round_cells[1].tolist()):
         expected_dx[sy, sx] = x - sx
         expected_dy[sy, sx] = y - sy
     assert expected_dx.any() or expected_dy.any()
@@ -202,20 +205,25 @@ def test_whole_runs_keep_exclusion_and_conserve_the_trace(world_seed, v_max, k_d
 
 
 def test_density_counts_every_logged_position():
-    spec = load("room")
-    result = run_simulation(spec, SimConfig(seed=2))
-    assert int(result.density.sum()) == len(result.trajectory)
+    # the heatmap counts the trajectory's cells, scaled so the most visited cell reads 255
+    result = run_simulation(load("room"), SimConfig(seed=2))
+    visits = collections.Counter(map(tuple, result.trajectory[:, 2:].tolist()))
+    assert sum(visits.values()) == len(result.trajectory)
+    peak = max(visits.values())
+    width, height = result.grid.width, result.grid.height
+    rows = [" ".join(str(visits[x, y] * 255 // peak) for x in range(width)) + "\n" for y in range(height)]
+    assert cli.heatmap_bytes(result) == f"P2\n{width} {height}\n255\n" + "".join(rows)
 
 
 def test_occupancy_mirrors_alive_agents_after_each_round():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=5))
     for _ in range(6):
-        if not len(state.alive):
+        if not len(state.agents):
             break
         run_round(state)
         expected = np.zeros_like(state.occupancy)
-        for x, y in state.agents["pos"][state.alive].tolist():
+        for x, y in state.agents["pos"].tolist():
             expected[y, x] = True
         assert np.array_equal(state.occupancy, expected)
         assert np.array_equal(state.counts, crowd_counts(state.occupancy))
@@ -273,15 +281,29 @@ def test_sealed_spawn_rejected_at_init(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sealed.txt"]
 
 
+def test_destination_choice_rejects_rows_without_a_chosen_exit():
+    # init_state leaves every chosen exit at -1; run_round stores the round's exits first
+    state = init_state(load("room"), SimConfig(seed=0))
+    u = np.full(len(state.agents), 0.5)
+    with pytest.raises(SimulationError) as err:
+        choose_destination(state.agents, state, u)
+    assert str(err.value) == "agent 0 has no chosen exit"
+    state.agents["chosen_exit"] = 0
+    state.agents["chosen_exit"][[5, 7]] = -1
+    with pytest.raises(SimulationError) as err:
+        choose_destination(state.agents, state, u)
+    assert str(err.value) == "agent 5 has no chosen exit"
+
+
 def test_chosen_exit_stays_in_allowed_set():
     spec = load("room")
     state = init_state(spec, SimConfig(seed=9))
     for _ in range(8):
-        if not len(state.alive):
+        if not len(state.agents):
             break
         run_round(state)
-        for spawn, e in zip(spec.spawns, state.agents["chosen_exit"].tolist()):
-            assert e in (spec.profiles[spawn.profile].allowed_exits or range(state.grid.n_exits))
+        for aid, e in zip(state.agents["id"].tolist(), state.agents["chosen_exit"].tolist()):
+            assert e in (spec.profiles[spec.spawns[aid].profile].allowed_exits or range(state.grid.n_exits))
 
 
 # ------------------------------------------------------- statistical behavior
@@ -291,18 +313,16 @@ def test_zero_coupling_agent_performs_lazy_uniform_walk():
     text = rows_to_text(rows, ["profile default v_max=1 k_S=0", "agent 8 8 default"])
     spec = parse_scenario(text)
     state = init_state(spec, SimConfig(seed=1234, max_rounds=10**9))
-    agent = state.agents[0]  # a record, a view of the table's row
+    spawned = state.agents.copy()
     tally: dict[tuple[int, int], int] = {}
     n = 4000
     for _ in range(n):
-        agent.pos = (8, 8)
-        state.alive = np.array([0])
-        agent.last_disp = (0, 0)
+        state.agents = spawned.copy()
         state.occupancy[:] = False
         state.occupancy[8, 8] = True
         state.counts = crowd_counts(state.occupancy)
         run_round(state)
-        d = tuple((agent.pos - 8).tolist())
+        d = tuple((state.agents[0].pos - 8).tolist())
         tally[d] = tally.get(d, 0) + 1
     assert set(tally) <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
     observed = [tally.get(d, 0) for d in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
@@ -326,7 +346,7 @@ def capture_draws(monkeypatch, state) -> dict[str, dict]:
     monkeypatch.setattr(engine, "choose_destination", spy("dest", engine.choose_destination))
     run_round(state)
     monkeypatch.undo()
-    draws["chosen"] = dict(enumerate(state.agents["chosen_exit"].tolist()))
+    draws["chosen"] = dict(zip(state.agents["id"].tolist(), state.agents["chosen_exit"].tolist()))
     return draws
 
 
@@ -335,8 +355,8 @@ def test_removing_an_agent_keeps_the_others_draws(monkeypatch):
     full = init_state(spec, SimConfig(seed=21))
     less = init_state(spec, SimConfig(seed=21))
     gone = 4
-    less.alive = less.alive[less.alive != gone]
     x, y = less.agents["pos"][gone]
+    less.agents = less.agents[less.agents["id"] != gone]
     less.occupancy[y, x] = False
     less.counts = crowd_counts(less.occupancy)
     a = capture_draws(monkeypatch, full)
@@ -353,9 +373,9 @@ def test_exit_and_destination_choice_ignore_the_order_of_the_agent_list():
     state = init_state(load("room"), SimConfig(seed=3))
     for _ in range(2):
         run_round(state)
-    alive = state.agents[state.alive]
+    alive = state.agents
     assert len(set(alive["v_max"].tolist())) > 1
-    u_exit, u_dest = np.random.default_rng(0).random((2, len(state.agents)))
+    u_exit, u_dest = np.random.default_rng(0).random((2, state.alive_counts[0]))
 
     def choose(agents):
         # each call gets its own copy of the rows, so the persistence bonus reads the exit held before it
@@ -376,9 +396,9 @@ def test_movement_ignores_the_order_of_the_agent_list():
     state = init_state(load("room"), SimConfig(seed=3))
     for _ in range(2):
         run_round(state)
-    ids = state.alive
-    alive = state.agents[ids]
-    n = len(state.agents)
+    alive = state.agents.copy()
+    ids = alive["id"]
+    n = state.alive_counts[0]
     alive["chosen_exit"] = choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
     cells = choose_destination(alive, state, derive_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
     destinations = dict(zip(ids.tolist(), map(tuple, cells.tolist())))
@@ -402,14 +422,23 @@ def test_movement_ignores_the_order_of_the_agent_list():
         assert move(alive[rng.permutation(len(alive))], flat) == expected
 
 
-def test_alive_list_stays_in_ascending_id_order():
-    # the trajectory lists each round's agents in list order, so its bytes rest on this order
+def test_agent_table_holds_the_room_in_ascending_id_order():
+    # the trajectory lists each round's agents in table order, so its bytes rest on this order
     for seed in range(3):
         state = init_state(load("room"), SimConfig(seed=seed))
-        while len(state.alive) and state.t < state.config.max_rounds:
+        spawned = state.agents
+        assert not np.shares_memory(state.round_ids[0], spawned)
+        assert not np.shares_memory(state.round_cells[0], spawned)
+        while len(state.agents) and state.t < state.config.max_rounds:
+            table = state.agents
             run_round(state)
-            ids = state.alive.tolist()
+            ids = state.agents["id"].tolist()
             assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert ids == [i for i in range(len(spawned)) if i not in state.exit_rounds]
+            # a record that viewed a replaced table would keep it alive for the rest of the run
+            for record in (state.round_ids[-1], state.round_cells[-1]):
+                assert not np.shares_memory(record, table)
+                assert not np.shares_memory(record, state.agents)
 
 
 def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
