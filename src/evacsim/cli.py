@@ -24,6 +24,8 @@ from .scenario import (
 
 EMIT_CHOICES = ("trajectories", "summary", "heatmap", "snapshots", "steplog")
 DEFAULT_EMIT = "trajectories,summary"
+# rows per `%` operation in `_table_text`, so only one block's values are Python ints at a time
+_TABLE_BLOCK_ROWS = 65536
 
 _CONFIG_FLOAT_KEYS = ("delta", "alpha", "w_max")
 # the names `round_{r:04d}.txt` gives, and no others
@@ -83,7 +85,8 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
 def _table_text(header: str, table: np.ndarray, sep: str) -> str:
     """The header line, then one line per row of an integer table, its values joined by `sep`."""
     line = sep.join(["%d"] * table.shape[1]) + "\n"
-    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    blocks = (table[i : i + _TABLE_BLOCK_ROWS] for i in range(0, len(table), _TABLE_BLOCK_ROWS))
+    return "".join([header + "\n", *((line * len(b)) % tuple(b.ravel().tolist()) for b in blocks)])
 
 
 def heatmap_bytes(result: SimResult) -> str:

@@ -17,6 +17,9 @@ WALL, FLOOR, EXIT = 0, 1, 2
 
 _CHAR_KIND = {"W": WALL, ".": FLOOR, "E": EXIT, "a": FLOOR}
 KIND_CHAR = {WALL: "W", FLOOR: ".", EXIT: "E"}
+# cell kind by ASCII code point, -1 for no cell; `_grid_kind` reads code points past ASCII as 127 (DEL)
+_CODE_KIND = np.full(128, -1, dtype=np.int8)
+_CODE_KIND[[ord(ch) for ch in _CHAR_KIND]] = list(_CHAR_KIND.values())
 
 # largest magnitude of a coupling or of w_max: a log weight then stays far inside
 # float64's range, where a larger finite value can overflow it to -inf or NaN mid-run
@@ -35,12 +38,7 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
+        where = "" if line is None else f"line {line}" + ("" if column is None else f", column {column}") + ": "
         super().__init__(where + message)
 
 
@@ -238,19 +236,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     if not rows:
         raise ParseError("scenario contains no grid rows")
-    width = len(rows[0][1])
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ParseError(
-                f"ragged grid row: expected {width} cells, got {len(row)}", lineno
-            )
-        for col, ch in enumerate(row, start=1):
-            if ch not in _CHAR_KIND:
-                raise ParseError(f"unknown cell character {ch!r}", lineno, col)
-
-    kind = np.array([[_CHAR_KIND[ch] for ch in row] for _, row in rows], dtype=np.int8)
-    # (x, y, lineno) of each 'a' cell
-    char_spawns = [(x, y, lineno) for y, (lineno, row) in enumerate(rows) for x, ch in enumerate(row) if ch == "a"]
+    kind, char_spawns = _grid_kind(rows)
     inner = np.zeros(kind.shape, dtype=bool)
     inner[1:-1, 1:-1] = True
     for y, x in np.argwhere((kind == FLOOR) & ~inner)[:1]:
@@ -271,11 +257,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         given.add(name)
         profiles[name] = profile
 
-    spawns: list[Spawn] = []
-    seen: dict[tuple[int, int], int] = {}
-    for x, y, lineno in char_spawns:
-        seen[(x, y)] = lineno
-        spawns.append(Spawn(x, y, "default"))
+    spawns = [Spawn(x, y, "default") for x, y in char_spawns]
+    seen = {(x, y): rows[y][0] for x, y in char_spawns}
     for lineno, line in agent_lines:
         m = _AGENT_RE.match(line)
         if not m:
@@ -291,13 +274,26 @@ def parse_scenario(text: str) -> ScenarioSpec:
         spawns.append(Spawn(x, y, pname))
     for spawn in spawns:
         if kind[spawn.y, spawn.x] != FLOOR:
-            raise ParseError(
-                f"spawn at ({spawn.x}, {spawn.y}) is not on a floor cell",
-                seen[(spawn.x, spawn.y)],
-            )
+            raise ParseError(f"spawn at ({spawn.x}, {spawn.y}) is not on a floor cell", seen[(spawn.x, spawn.y)])
 
     spawns.sort(key=lambda s: (s.y, s.x))
     return ScenarioSpec(grid=grid, profiles=profiles, spawns=tuple(spawns))
+
+
+def _grid_kind(rows: list[tuple[int, str]]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """(H, W) int8 cell kinds of the (lineno, row) grid rows, and the (x, y) of each 'a' in row-major order."""
+    width = len(rows[0][1])
+    codes = np.frombuffer("".join(row for _, row in rows).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    kind = _CODE_KIND[np.minimum(codes, 127)]
+    first_bad = int(np.append(np.flatnonzero(kind < 0), codes.size)[0])
+    for i, (lineno, row) in enumerate(rows):  # the first failing row raises: its length first, then its characters
+        if len(row) != width:
+            raise ParseError(f"ragged grid row: expected {width} cells, got {len(row)}", lineno)
+        col = first_bad - i * width
+        if col < width:
+            raise ParseError(f"unknown cell character {row[col]!r}", lineno, col + 1)
+    ys, xs = np.nonzero(codes.reshape(len(rows), width) == ord("a"))
+    return kind.reshape(len(rows), width), list(zip(xs.tolist(), ys.tolist()))
 
 
 def _parse_profile_line(line: str, lineno: int, n_exits: int) -> tuple[str, AgentProfile]:

@@ -1,15 +1,16 @@
 """Geodesic distance fields on the lattice: per-exit and distance-to-wall.
 
-Distances are shortest paths over the permitted steps of `Grid.steps`
-(orthogonal cost 1, diagonal sqrt(2)), computed once before a run by a
-vectorised label-correcting relaxation: each pass relaxes every permitted step
-out of the cells the last pass improved. As fl(d + c) is monotone in d, the
-fixpoint is each cell's least left-fold float sum over all paths, bit for bit
-what Dijkstra's search returns. One pass relaxes a stack of source layers:
-no step leaves the grid, so none leaves its layer. The wall field starts at
-w_max, not inf, so its front stops at the clamp; as a path's partial sums
-only grow, each cell nearer than w_max is reached through nearer cells alone,
-and its value is exact. All fields are read-only.
+Distances are shortest paths over the permitted steps of `Grid.steps` (orthogonal cost
+1, diagonal sqrt(2)), computed once before a run by a vectorised label-correcting
+relaxation. A pass relaxes the eight moves out of the cells the last pass improved as
+one block, keeps the least value per target (`np.minimum.at`) and stamps the targets
+with their entry index to gather the next front, each cell once, without a scan. As
+fl(d + c) is monotone in d, the fixpoint is each cell's least left-fold float sum over
+all paths, in any relaxation order: bit for bit what Dijkstra's search returns. A pass
+relaxes a stack of source layers; no step leaves the grid, so none leaves its layer.
+The wall field starts at w_max, not inf, so its front stops at the clamp; as partial
+sums only grow, each cell nearer than w_max is reached through nearer cells alone, and
+its value is exact. All fields are read-only.
 """
 
 from __future__ import annotations
@@ -22,27 +23,27 @@ from .scenario import EXIT, MOORE_OFFSETS, WALL, Grid
 
 UNREACHABLE = math.inf
 
-_STEP_COSTS = tuple(math.sqrt(2.0) if dx and dy else 1.0 for dx, dy in MOORE_OFFSETS)
+_DX, _DY = np.array(MOORE_OFFSETS).T[:, :, None]  # (8, 1) columns, one row per move
+_STEP_BITS = (1 << np.arange(len(MOORE_OFFSETS), dtype=np.uint8))[:, None]
+_STEP_COSTS = np.where(_DX * _DY != 0, math.sqrt(2.0), 1.0)
 
 
 def _relax(grid: Grid, sources: np.ndarray, bound: float) -> np.ndarray:
     """Least path cost, capped at `bound`, from the cells of each (H, W) layer of the boolean stack `sources`."""
-    cells = grid.height * grid.width
-    steps = grid.steps.ravel()
+    cells, steps = grid.height * grid.width, grid.steps.ravel()
+    moves = _DY * grid.width + _DX
     dist = np.where(sources.ravel(), 0.0, bound)
-    improved = np.zeros(dist.size, dtype=bool)
+    stamp = np.zeros(dist.size, dtype=np.int32)
     front = np.flatnonzero(sources)
     while front.size:
-        bits, d = steps[front % cells], dist[front]
-        for k, (dx, dy) in enumerate(MOORE_OFFSETS):
-            has = (bits & (1 << k)) != 0
-            target, nd = front[has] + (dy * grid.width + dx), d[has] + _STEP_COSTS[k]
-            better = nd < dist[target]
-            # distinct front cells have distinct targets, so a plain store keeps the least
-            dist[target[better]] = nd[better]
-            improved[target[better]] = True
-        front = np.flatnonzero(improved)
-        improved[front] = False
+        has = (steps[front % cells] & _STEP_BITS) != 0
+        target, nd = (front + moves)[has], (dist[front] + _STEP_COSTS)[has]
+        better = nd < dist[target]
+        target, nd = target[better], nd[better]
+        np.minimum.at(dist, target, nd)
+        entry = np.arange(target.size, dtype=np.int32)
+        stamp[target] = entry
+        front = target[stamp[target] == entry]
     dist = dist.reshape(sources.shape)
     dist.setflags(write=False)
     return dist

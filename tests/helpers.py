@@ -30,8 +30,13 @@ step rows into (id, fx, fy, tx, ty) rows.
 `reference_update_component` is the trace update as it stood before it went
 sparse: binomial and multinomial draws over every cell of the grid, then one
 shifted add per von Neumann direction.
+`reference_table_text` is the artifact table formatter as it stood before it
+formatted fixed blocks of rows: one `%` operation over the whole table.
 `reference_crowd_counts` is the crowd count as it stood before the box sum:
 eight shifted slices of one padded `int32` array.
+`reference_relax` is the field relaxation as it stood before a pass relaxed its
+eight moves in one block, and `reference_grid_kind` the parser's per-character
+walk over the grid rows; the package must equal both byte for byte.
 `render_scenario` writes a spec back as scenario text, so the parser's
 round-trip tests can compare `parse_scenario(render_scenario(spec))` to it
 with `same_spec`.
@@ -141,6 +146,30 @@ def dijkstra_distances(grid, sources: list[tuple[int, int]]) -> np.ndarray:
     return dist
 
 
+def reference_relax(grid, sources: np.ndarray, bound: float) -> np.ndarray:
+    """`static_field._relax` as it stood before a pass relaxed its eight moves in one block: one
+    block of numpy calls per `MOORE_OFFSETS` entry, then a scan of the whole `improved` stack."""
+    from evacsim.scenario import MOORE_OFFSETS
+
+    cells = grid.height * grid.width
+    steps = grid.steps.ravel()
+    dist = np.where(sources.ravel(), 0.0, bound)
+    improved = np.zeros(dist.size, dtype=bool)
+    front = np.flatnonzero(sources)
+    while front.size:
+        bits, d = steps[front % cells], dist[front]
+        for k, (dx, dy) in enumerate(MOORE_OFFSETS):
+            has = (bits & (1 << k)) != 0
+            target, nd = front[has] + (dy * grid.width + dx), d[has] + (SQRT2 if dx and dy else 1.0)
+            better = nd < dist[target]
+            # distinct front cells have distinct targets, so a plain store keeps the least
+            dist[target[better]] = nd[better]
+            improved[target[better]] = True
+        front = np.flatnonzero(improved)
+        improved[front] = False
+    return dist.reshape(sources.shape)
+
+
 def random_kind(rng: np.random.Generator, max_side: int = 12) -> np.ndarray:
     """Random closed grid with interior walls and at least one exit and floor."""
     while True:
@@ -170,6 +199,22 @@ def rows_to_text(rows: list[str], directives: list[str] | None = None) -> str:
 def kind_from_rows(rows: list[str]) -> np.ndarray:
     table = {"W": WALL, ".": FLOOR, "E": EXIT}
     return np.array([[table[ch] for ch in row] for row in rows], dtype=np.int8)
+
+
+def reference_grid_kind(rows: list[tuple[int, str]]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """`scenario._grid_kind` as it stood before it read code points: one walk over the characters to
+    validate the (lineno, row) grid rows, one to map them to kinds, one to collect the 'a' cells."""
+    from evacsim.scenario import _CHAR_KIND, ParseError
+
+    width = len(rows[0][1])
+    for lineno, row in rows:
+        if len(row) != width:
+            raise ParseError(f"ragged grid row: expected {width} cells, got {len(row)}", lineno)
+        for col, ch in enumerate(row, start=1):
+            if ch not in _CHAR_KIND:
+                raise ParseError(f"unknown cell character {ch!r}", lineno, col)
+    kind = np.array([[_CHAR_KIND[ch] for ch in row] for _, row in rows], dtype=np.int8)
+    return kind, [(x, y) for y, (_, row) in enumerate(rows) for x, ch in enumerate(row) if ch == "a"]
 
 
 def render_scenario(spec) -> str:
@@ -595,6 +640,12 @@ def reference_execute_round(agents, destinations, grid, rng):
 
 
 # ------------------------------------------------------- trace field oracle
+
+def reference_table_text(header: str, table: np.ndarray, sep: str) -> str:
+    """`cli._table_text` as it stood before it formatted blocks of rows: one `%` over the whole table."""
+    line = sep.join(["%d"] * table.shape[1]) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+
 
 def reference_update_component(comp: np.ndarray, wall: np.ndarray, delta: float, alpha: float, rng) -> np.ndarray:
     """One decay-and-diffuse update of a trace component, drawn over the whole grid."""

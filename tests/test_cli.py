@@ -10,13 +10,17 @@ import sys
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evacsim import cli
 from evacsim.cli import EMIT_CHOICES, main, parse_config_text, UsageError, write_outputs
 from evacsim.engine import run_simulation
 from evacsim.scenario import ScenarioSpec, SimConfig, parse_scenario
+
+from helpers import reference_table_text
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 CORRIDOR = str(SCENARIOS / "corridor.txt")
@@ -146,14 +150,36 @@ CLI_ARTIFACT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(CLI_ARTIFACT_DIGESTS))
-def test_cli_artifacts_golden_digest(tmp_path, seed):
+def artifact_digest(out_dir, seed: int) -> str:
+    """The benchmark's `artifact_digest` of the files that one `cli.main` seed wrote with every artifact."""
     module_spec = importlib.util.spec_from_file_location("checks", SCENARIOS.parent / "perfbench" / "checks.py")
     checks = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(checks)
-    assert run_cli("--scenario", ROOM, "--seed", str(seed), "--out", str(tmp_path), "--emit", ",".join(EMIT_CHOICES)) == 0
-    assert len(os.listdir(tmp_path)) == len(EMIT_CHOICES)
-    assert checks.artifact_digest(str(tmp_path), seed) == CLI_ARTIFACT_DIGESTS[seed]
+    assert run_cli("--scenario", ROOM, "--seed", str(seed), "--out", str(out_dir), "--emit", ",".join(EMIT_CHOICES)) == 0
+    assert len(os.listdir(out_dir)) == len(EMIT_CHOICES)
+    return checks.artifact_digest(str(out_dir), seed)
+
+
+@pytest.mark.parametrize("seed", sorted(CLI_ARTIFACT_DIGESTS))
+def test_cli_artifacts_golden_digest(tmp_path, seed):
+    assert artifact_digest(tmp_path, seed) == CLI_ARTIFACT_DIGESTS[seed]
+
+
+def test_tables_format_in_blocks_as_in_one_piece(tmp_path, monkeypatch):
+    result = run_simulation(parse_scenario(pathlib.Path(ROOM).read_text()), SimConfig(seed=0))
+    monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", 7)
+    tables = [
+        ("round,agent_id,x,y", result.trajectory, ","),
+        ("round step agent from_x from_y to_x to_y", result.step_log, " "),
+        ("two blocks", np.arange(-21, 21).reshape(14, 3), " "),
+        ("one short block", np.arange(5).reshape(5, 1), ","),
+        ("no rows", np.zeros((0, 4), dtype=np.int64), ","),
+    ]
+    assert len(result.trajectory) > 7 and len(result.step_log) > 7
+    for header, table, sep in tables:
+        assert cli._table_text(header, table, sep) == reference_table_text(header, table, sep)
+    # every artifact, the heatmap's rows included, is unchanged when written in blocks
+    assert artifact_digest(tmp_path, 0) == CLI_ARTIFACT_DIGESTS[0]
 
 
 def test_batch_seeds_write_one_file_each_and_print_mean(tmp_path, capsys):

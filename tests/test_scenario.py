@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evacsim import scenario
 from evacsim.engine import init_state
 from evacsim.scenario import (
     DEFAULT_PROFILE,
@@ -28,7 +30,8 @@ from evacsim.scenario import (
 )
 
 from helpers import (
-    moore_steps, neighborhood, open_room_rows, random_kind, render_scenario, rows_to_text, same_spec,
+    moore_steps, neighborhood, open_room_rows, random_kind, reference_grid_kind, render_scenario, rows_to_text,
+    same_spec,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -84,6 +87,68 @@ def test_parse_rejects_ragged_rows():
 def test_parse_rejects_unknown_character():
     with pytest.raises(ParseError, match="unknown cell character"):
         parse_scenario("WWW\nWxW\nWWW\n")
+
+
+# (grid rows, full ParseError message, line, column); the text puts a comment and a blank line
+# before the rows, so line numbers are not row indices
+GRID_ERRORS = [
+    (["WWWWW", "W.a.W", "W...W", "WWWWx"], "line 6, column 5: unknown cell character 'x'", 6, 5),
+    (["WWWWW", "W. .E", "WWWWW"], "line 4, column 3: unknown cell character ' '", 4, 3),
+    (["WWWWW", "W.\t.E", "WWWWW"], "line 4, column 3: unknown cell character '\\t'", 4, 3),
+    (["WWWWWW", "W.a.éE", "WWWWWW"], "line 4, column 5: unknown cell character 'é'", 4, 5),
+    (["WWWWWW", "W.a..E", "W..\U0001f600.W", "WWWWWW"], "line 5, column 4: unknown cell character '\U0001f600'", 5, 4),
+    (["WWWWW", "W\ud800..E", "WWWWW"], "line 4, column 2: unknown cell character '\\ud800'", 4, 2),
+    (["WWWWW", "W..E", "W.x.W", "WWWWW"], "line 4: ragged grid row: expected 5 cells, got 4", 4, None),
+    (["WWWWW", "W.x.E", "W..W", "WWWWW"], "line 4, column 3: unknown cell character 'x'", 4, 3),
+    (["WWWWW", "W.x.EW", "WWWWW"], "line 4: ragged grid row: expected 5 cells, got 6", 4, None),
+    (["WWWxW", "W...EW", "WWWWW"], "line 3, column 4: unknown cell character 'x'", 3, 4),
+]
+
+
+@pytest.mark.parametrize("rows, message, line, column", GRID_ERRORS)
+def test_grid_errors_name_the_first_failing_row(rows, message, line, column):
+    # rows in order; in a row its length first, then its characters left to right,
+    # columns counted in characters
+    with pytest.raises(ParseError) as err:
+        parse_scenario("% grid\n\n" + rows_to_text(rows))
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def _parse_outcome(text: str):
+    try:
+        return parse_scenario(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+GRID_CHARS = "W.Eaxé "
+
+
+@st.composite
+def closed_rooms(draw) -> list[str]:
+    """A room walled by 'W' and 'E', with up to two cells set to any of GRID_CHARS and maybe one row cut or grown."""
+    h, w = draw(st.integers(3, 5)), draw(st.integers(3, 6))
+    edge, inside = st.sampled_from("WWWE"), st.sampled_from("W...aE")
+    rows = [[draw(edge if y in (0, h - 1) or x in (0, w - 1) else inside) for x in range(w)] for y in range(h)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows[draw(st.integers(0, h - 1))][draw(st.integers(0, w - 1))] = draw(st.sampled_from(GRID_CHARS))
+    rows = ["".join(row) for row in rows]
+    y = draw(st.integers(0, h - 1))
+    rows[y] = draw(st.sampled_from([rows[y], rows[y], rows[y][:-1], rows[y] + "W"]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text(alphabet=GRID_CHARS, min_size=1, max_size=6), min_size=1, max_size=5) | closed_rooms())
+def test_grid_reading_equals_the_per_character_walk(rows):
+    text = "\n".join(rows)
+    new = _parse_outcome(text)
+    with mock.patch.object(scenario, "_grid_kind", reference_grid_kind):
+        old = _parse_outcome(text)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert same_spec(new, old) and new.spawns == old.spawns
 
 
 def test_parse_rejects_open_boundary():

@@ -17,7 +17,9 @@ from evacsim.static_field import (
     compute_wall_distance,
 )
 
-from helpers import dijkstra_distances, kind_from_rows, moore_steps, random_kind, relaxation_distances
+from helpers import (
+    dijkstra_distances, kind_from_rows, moore_steps, random_kind, reference_relax, relaxation_distances,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -202,12 +204,16 @@ def test_uncapped_wall_distance_agrees_below_cutoff():
 
 # ------------------------------------------- exactness against the reference
 
-def _benchmark_crowd_grid() -> Grid:
-    """The benchmark's generated 120x120 crowd room (workload seed 0)."""
+def _benchmark_workloads():
     module_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(workloads)
-    return parse_scenario(workloads.crowd_dense(0)).grid
+    return workloads
+
+
+def _benchmark_crowd_grid() -> Grid:
+    """The benchmark's generated 120x120 crowd room (workload seed 0)."""
+    return parse_scenario(_benchmark_workloads().crowd_dense(0)).grid
 
 
 def _cells(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -240,6 +246,22 @@ def test_fields_equal_priority_queue_search_bit_for_bit():
         # the clamps from 0 to 1 + sqrt(2) fall exactly on lattice distances
         for w_max in (0.0, 1.0, SQRT2, 2.0, 1.0 + SQRT2, 3.0, math.inf):
             assert np.array_equal(compute_wall_distance(g, w_max), np.minimum(to_wall, w_max))
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fields_equal_the_per_move_relaxation_on_the_benchmark_halls_byte_for_byte():
+    workloads = _benchmark_workloads()
+    for seed in range(3):
+        g = parse_scenario(workloads.sparse_hall(seed)).grid
+        assert (g.height, g.width, g.n_exits) == (240, 240, 4)
+        exits = (g.kind == EXIT) & (g.exit_id == np.arange(g.n_exits)[:, None, None])
+        assert _same_bytes(compute_static_field(g), reference_relax(g, exits, UNREACHABLE))
+        for w_max in (0.0, 1.0, SQRT2, 3.0, 1e6, math.inf):
+            expected = reference_relax(g, (g.kind == WALL)[None], w_max)[0]
+            assert _same_bytes(compute_wall_distance(g, w_max), expected)
 
 
 @st.composite
