@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .decision import SimulationError
-from .engine import ROUND_SECONDS, SimResult, init_state, run_simulation
+from .engine import ROUND_SECONDS, SimResult, run_batch
 from .scenario import (
     KIND_CHAR, PROFILE_KEYS, ParseError, SimConfig, parse_scenario, profile_field,
 )
@@ -184,23 +184,21 @@ def main(argv: list[str] | None = None) -> int:
             default = replace(spec.profiles["default"], **profile_kwargs)
             default.validate()
             spec = replace(spec, profiles={**spec.profiles, "default": default})
-        base_config = SimConfig(seed=args.seed, **sim_kwargs)
-        first = init_state(spec, base_config)  # reachability check before any writes
+        # spawns the first lockstep, and so checks reachability, before any writes
+        results = run_batch(spec, SimConfig(seed=args.seed, **sim_kwargs), args.seeds)
     except (ParseError, ValueError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         os.makedirs(args.out, exist_ok=True)
-        fields = (first.exit_dist, first.wall_dist)
         all_rounds: list[int | None] = []
-        for s in range(args.seed, args.seed + args.seeds):
-            result = run_simulation(spec, replace(base_config, seed=s), fields)
+        for result in results:
             write_outputs(result, args.out, emit)
             rounds = result.evacuation_rounds
             seconds = result.evacuation_seconds
             print(
-                f"seed={s} evacuation_rounds={'none' if rounds is None else rounds}"
+                f"seed={result.seed} evacuation_rounds={'none' if rounds is None else rounds}"
                 f" evacuation_seconds={'none' if seconds is None else seconds}"
             )
             all_rounds.append(rounds)

@@ -3,13 +3,17 @@
 Every pick reads only the start-of-round state, so both levels are batched
 kernels over rows of the agent table (see `engine.agent_table`), which hold
 each agent's cell, last displacement, chosen exit and profile values as
-columns. Exit choice reads one (N, E) weight matrix from the (E, H, W)
-stack of exit distances. Destination choice combines five influences
-(distance to exit, trace field, inertia, wall clearance, neighbor crowding)
-in one (rows, K) log-weight matrix per v_max class over the disc offsets, in
-blocks of at most BLOCK_ROWS rows so temporaries stay small. Log weights are
-normalized with max-subtraction before exponentiation, so large couplings or
-trace values cannot overflow. Inertia is read from cached per-(v_max, r)
+columns. The rows may come from several seeds of one scenario: they share
+the grid and floor fields, and read their seed's occupancy, crowd counts and
+trace at the flat index `offset + y * W + x` of the stacked grids. Every
+operation is element-wise or a reduction along a row, so a row's result does
+not depend on the rows that share its call. Exit choice reads one (N, E)
+weight matrix from the (E, H, W) stack of exit distances. Destination choice
+combines five influences (distance to exit, trace field, inertia, wall
+clearance, neighbor crowding) in one (rows, K) log-weight matrix per v_max
+class over the disc offsets, in blocks of at most BLOCK_ROWS rows so
+temporaries stay small. Log weights are normalized with max-subtraction
+before exponentiation, so large couplings or trace values cannot overflow. Inertia is read from cached per-(v_max, r)
 tables over last displacements in [-r, r]^2, in the per-agent float order;
 at r = v_max = 10 they take 2.2 MB. The wall field never exceeds w_max, as
 its relaxation starts there, so the wall term is k_W (w_max - W).
@@ -95,18 +99,19 @@ def choose_exit(agents: np.ndarray, exit_dist: np.ndarray, u: np.ndarray) -> np.
 
 
 def crowd_counts(occupancy: np.ndarray) -> np.ndarray:
-    """Occupied-cell count over each cell's 8 Moore neighbors, as uint8 (a count is at most 8).
+    """Occupied-cell count over each cell's 8 Moore neighbors, as uint8 (a count is at most 8), of an
+    (H, W) grid or of each grid of an (..., H, W) stack.
 
     A separable 3x3 box sum over one zero-padded array, minus the center cell.
     """
-    h, w = occupancy.shape
-    p = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    p[1:-1, 1:-1] = occupancy
-    rows = p[:, :-2] + p[:, 1:-1]
-    rows += p[:, 2:]
-    counts = rows[:-2] + rows[1:-1]
-    counts += rows[2:]
-    counts -= p[1:-1, 1:-1]
+    *stack, h, w = occupancy.shape
+    p = np.zeros((*stack, h + 2, w + 2), dtype=np.uint8)
+    p[..., 1:-1, 1:-1] = occupancy
+    rows = p[..., :-2] + p[..., 1:-1]
+    rows += p[..., 2:]
+    counts = rows[..., :-2, :] + rows[..., 1:-1, :]
+    counts += rows[..., 2:, :]
+    counts -= p[..., 1:-1, 1:-1]
     return counts
 
 
@@ -140,8 +145,9 @@ def _inertia_tables(v_max: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[DestinationDistribution]:
     """Destination laws of all agent rows, one block per v_max class and BLOCK_ROWS rows.
 
-    Reads the start-of-round `state`: grid, exit and wall distances, trace
-    field, crowd counts, occupancy and `config.w_max`. Every row needs a
+    Reads the start-of-round `state`: grid, exit and wall distances, the
+    occupancy, the crowd counts and the (2, ...) trace components `trace`,
+    each read at a row's `offset`, and `config.w_max`. Every row needs a
     chosen exit (-1 raises). The log weight of candidate c for an agent at p is
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
     - k_W (w_max - W(c)) - k_P crowd(c), u being the last displacement
@@ -151,6 +157,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
     term always stays, as it carries the reachability mask.
     """
     pos = agents["pos"]
+    offset = agents["offset"]
     last = agents["last_disp"]
     chosen = agents["chosen_exit"]
     unset = np.flatnonzero(chosen < 0)
@@ -160,7 +167,8 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
     k = agents["k"]
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
-    # fields are read through flat cell indices y * width + x
+    trace_x, trace_y = state.trace
+    # fields are read through flat cell indices y * width + x, a seed's grids through offset + y * width + x
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
     for v in np.flatnonzero(np.bincount(v_max)).tolist():
         offx, offy, own = _disc_terms(v)
@@ -172,7 +180,8 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
             cy = origin[:, 1, None] + offy
             inside = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
             at = np.where(inside, cy * width + cx, 0)
-            candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, at))
+            seed_at = at + offset[rows, None]
+            candidate = inside & (np.take(state.grid.kind, at) != WALL) & (own | ~np.take(state.occupancy, seed_at))
             k_rows = k[rows]
             _, on_d, on_i, on_w, on_p = k_rows.any(axis=0).tolist()
             k_s, k_d, k_i, k_w, k_p = (col[:, None] for col in k_rows.T)
@@ -182,7 +191,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
             logw = np.where(reachable, -k_s * np.where(reachable, s, 0.0), -np.inf)
 
             if on_d:
-                logw += k_d * (np.take(state.dyn_field.dx, at) * offx + np.take(state.dyn_field.dy, at) * offy)
+                logw += k_d * (np.take(trace_x, seed_at) * offx + np.take(trace_y, seed_at) * offy)
 
             if on_i:
                 u = last[rows]
@@ -195,7 +204,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
                 logw -= k_w * (w_max - np.take(state.wall_dist, at))
 
             if on_p:
-                logw -= k_p * np.take(state.counts, at)
+                logw -= k_p * np.take(state.counts, seed_at)
 
             top = logw.max(axis=1, keepdims=True)
             stuck = rows[np.isneginf(top[:, 0])]

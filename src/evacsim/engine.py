@@ -5,17 +5,32 @@ Randomness discipline: every random draw comes from a stream keyed by
 seed. Exit and destination choice each draw one uniform per agent id from a
 single per-round stream, so an agent's draws do not depend on which other
 agents are still in the room. One round models one second; one cell edge is
-0.4 m. The agent table (`agent_table`) holds the rows of the agents still in
-the room; a round updates them in place and drops the rows of those that left.
-End-of-round bookkeeping runs on arrays of the agents' final cells, and a round
-records integer columns, not tuples: its agents' ids and end cells and its step
-rows, which the finished run joins into its tables.
+0.4 m.
+
+Seeds of one scenario run in lockstep, and a single run is a lockstep of one.
+A `SimState`'s agent table (`agent_table`) holds every seed's agents still in
+the room; a round makes one exit-choice and one destination-choice call over
+all of them, while each seed keeps its own streams, movement phase, trace
+update and result (`SeedRun`), byte for byte those of its run alone.
+End-of-round bookkeeping runs once on arrays of all rows' final cells, and a
+round records integer columns, not tuples: the rows' ids and end cells and
+the step rows, which a finished seed joins into its tables. A seed leaves the
+lockstep when its last agent has.
+
+Budget: `run_batch` runs lockstep groups of L seeds, L the largest count with
+L x spawned agents <= LOCKSTEP_ROWS and L x H x W <= LOCKSTEP_CELLS, and at
+least 1. So up to 163 seeds of `scenarios/room.txt` (20 x 20 cells, 11 agents)
+run as one lockstep, and a 120 x 120 room of 4177 agents one seed at a time. A
+lockstep's per-seed grids (trace, occupancy, crowd counts) take 18 bytes a
+cell, at most 1.2 MB; its records grow with its rows and rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, replace
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +41,8 @@ from .scenario import EXIT, Grid, ScenarioSpec, SimConfig
 from .static_field import compute_static_field, compute_wall_distance
 
 ROUND_SECONDS = 1.0
+LOCKSTEP_ROWS = 4096
+LOCKSTEP_CELLS = 1 << 16
 
 # purpose tags for derive_stream
 PURPOSE_EXIT = 0
@@ -40,15 +57,36 @@ def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.G
 
 
 @dataclass
+class SeedRun:
+    """One seed of a lockstep: its master seed, its `slot` (index in the lockstep), its trace field
+    (a view of the lockstep's `trace`), `alive_counts[r]`, its agents after round r, and
+    `exit_rounds`, the round in which each agent that left stood on an exit, by id."""
+
+    seed: int
+    slot: int
+    dyn_field: DynamicField
+    alive_counts: list[int]
+    exit_rounds: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
 class SimState:
-    """Everything a run reads and mutates round to round.
+    """A lockstep: everything its rounds read and mutate, for seeds config.seed, config.seed + 1, ...
 
     `agents` is the agent table (see `agent_table`) of the agents still in
-    the room, in ascending id order.
-    `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist`
-    the (H, W) wall distance clamped to `config.w_max`; both are read-only.
-    Round r records its agents' ids and end (x, y) (round 0: the spawns) and its step rows in
-    `round_ids[r]`, `round_cells[r]` and `round_steps[r - 1]`.
+    the room, by seed, then in ascending id order; `runs` holds the seeds by
+    slot, and a seed without agents has left. `exit_dist` is the (E, H, W) stack of
+    per-exit distances and `wall_dist` the (H, W) wall distance clamped to
+    `config.w_max`; both are read-only and shared by the seeds.
+    `occupancy`, `counts` (crowd counts) and the trace components `trace`
+    are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds' grids: seed
+    i's grid is the first H rows of block i, at flat offset i (H + 1) W. The
+    last row of a block is spare; the trace update sinks lost quanta there.
+    `alive_counts[r]` counts the rows after round r; `t` is the last round.
+    Round r records the rows' ids and end (x, y) (round 0: the spawns) in
+    `round_ids[r]` and `round_cells[r]`, seed i's being rows
+    `round_cuts[r][i]` to `round_cuts[r][i + 1]`, and the step rows in
+    `round_steps[r - 1]`, seed i's from `step_cuts[r - 1][i]` on.
     """
 
     grid: Grid
@@ -56,15 +94,17 @@ class SimState:
     agents: np.ndarray
     exit_dist: np.ndarray
     wall_dist: np.ndarray
-    dyn_field: DynamicField
     occupancy: np.ndarray
     counts: np.ndarray
+    trace: np.ndarray
+    runs: list[SeedRun]
     t: int = 0
+    alive_counts: list[int] = field(default_factory=list)
     round_ids: list[np.ndarray] = field(default_factory=list)
     round_cells: list[np.ndarray] = field(default_factory=list)
+    round_cuts: list[np.ndarray] = field(default_factory=list)
     round_steps: list[np.ndarray] = field(default_factory=list)
-    alive_counts: list[int] = field(default_factory=list)
-    exit_rounds: dict[int, int] = field(default_factory=dict)
+    step_cuts: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -89,8 +129,9 @@ class SimResult:
 
 def agent_table(spec: ScenarioSpec) -> np.ndarray:
     """The agent table at spawn, row i being agent i: the fields `id`, `pos` (x, y), `last_disp` (dx, dy)
-    of its last round, `chosen_exit` (-1 before its first choice), and its profile's `v_max`, `k` (k_S,
-    k_D, k_I, k_W, k_P), `k_e` and `allowed`, the mask of the exits it may use.
+    of its last round, `chosen_exit` (-1 before its first choice), its profile's `v_max`, `k` (k_S,
+    k_D, k_I, k_W, k_P), `k_e` and `allowed`, the mask of the exits it may use, and `offset`, the flat
+    offset of its seed's grids in a lockstep's per-seed stacks (0 here).
 
     Its elements are `np.record`s, so a row reads its fields as attributes (`row.pos`) and a column is a
     plain field read (`agents["pos"]`). Built a column at a time: one profile index per spawn into small
@@ -100,13 +141,13 @@ def agent_table(spec: ScenarioSpec) -> np.ndarray:
     profiles = list(spec.profiles.values())
     index = {name: i for i, name in enumerate(spec.profiles)}
     which = np.fromiter([index[s.profile] for s in spec.spawns], np.intp, n)
-    agents = np.empty(n, dtype=np.dtype((np.record, [
+    agents = np.zeros(n, dtype=np.dtype((np.record, [
         ("id", np.int64), ("pos", np.int64, 2), ("last_disp", np.int64, 2), ("chosen_exit", np.int64),
         ("v_max", np.int64), ("k", np.float64, 5), ("k_e", np.float64), ("allowed", bool, n_exits),
+        ("offset", np.int64),
     ])))
     agents["id"] = np.arange(n)
     agents["pos"] = np.fromiter(chain.from_iterable([(s.x, s.y) for s in spec.spawns]), np.int64, 2 * n).reshape(-1, 2)
-    agents["last_disp"] = 0
     agents["chosen_exit"] = -1
     agents["v_max"] = np.array([p.v_max for p in profiles], dtype=np.int64)[which]
     k = [(p.k_s, p.k_d, p.k_i, p.k_w, p.k_p) for p in profiles]
@@ -117,121 +158,191 @@ def agent_table(spec: ScenarioSpec) -> np.ndarray:
     return agents
 
 
-def init_state(
-    spec: ScenarioSpec, config: SimConfig, fields: tuple[np.ndarray, np.ndarray] | None = None
-) -> SimState:
-    """Precompute fields, spawn agents, and validate exit reachability.
+def lockstep_size(spec: ScenarioSpec) -> int:
+    """The most seeds of `spec` that one lockstep holds within LOCKSTEP_ROWS and LOCKSTEP_CELLS; at least 1."""
+    return max(1, min(LOCKSTEP_ROWS // max(len(spec.spawns), 1), LOCKSTEP_CELLS // spec.grid.kind.size))
 
-    `fields` is the read-only (exit_dist, wall_dist) pair of an earlier state
-    of the same grid and `config.w_max`; the seeds of a batch share one pair,
-    so a batch computes the floor fields once. Without it both are computed.
-    """
+
+def init_state(spec: ScenarioSpec, config: SimConfig, seeds: int = 1) -> SimState:
+    """Precompute the floor fields, then spawn a lockstep of the seeds config.seed, ...,
+    config.seed + seeds - 1 (see `spawn`)."""
+    exit_dist = compute_static_field(spec.grid)
+    return spawn(spec, config, seeds, exit_dist, compute_wall_distance(spec.grid, config.w_max))
+
+
+def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarray, wall_dist: np.ndarray) -> SimState:
+    """A lockstep of `seeds` seeds from config.seed on, at spawn, on the read-only floor fields
+    (exit_dist, wall_dist) of `spec.grid` and `config.w_max`; validates exit reachability."""
     grid = spec.grid
-    if fields is None:
-        exit_dist = compute_static_field(grid)
-        wall_dist = compute_wall_distance(grid, config.w_max)
-    else:
-        exit_dist, wall_dist = fields
-
-    agents = agent_table(spec)
-    stuck = np.flatnonzero(~exit_weights(agents, exit_dist).any(axis=1))
+    table = agent_table(spec)
+    stuck = np.flatnonzero(~exit_weights(table, exit_dist).any(axis=1))
     if stuck.size:
-        a = agents[int(stuck[0])]
+        a = table[int(stuck[0])]
         raise SimulationError(f"agent {a.id} at ({a.pos[0]}, {a.pos[1]}) cannot reach any of its allowed exits")
 
-    pos = agents["pos"].copy()  # round 0's record, which the table's later writes must not change
-    xs, ys = pos.T
-    occupancy = np.zeros((grid.height, grid.width), dtype=bool)
-    occupancy[ys, xs] = True
-
-    state = SimState(
+    block = (grid.height + 1) * grid.width
+    agents = np.tile(table, seeds)
+    agents["offset"] = np.repeat(np.arange(seeds) * block, len(table))
+    occupancy = np.zeros((seeds, grid.height + 1, grid.width), dtype=bool)
+    occupancy.reshape(-1)[cells_of(agents, grid.width)] = True
+    trace = np.zeros((2, seeds, grid.height + 1, grid.width), dtype=np.int64)
+    field0 = DynamicField(grid, trace[:, 0])
+    runs = [SeedRun(config.seed + i, i, field0.over(trace[:, i]), [len(table)]) for i in range(seeds)]
+    return SimState(
         grid=grid,
         config=config,
         agents=agents,
         exit_dist=exit_dist,
         wall_dist=wall_dist,
-        dyn_field=DynamicField(grid),
         occupancy=occupancy,
         counts=crowd_counts(occupancy),
+        trace=trace,
+        runs=runs,
+        alive_counts=[len(agents)],
+        # round 0's record, which the table's later writes must not change
+        round_ids=[agents["id"].copy()],
+        round_cells=[agents["pos"].copy()],
+        round_cuts=[np.arange(seeds + 1) * len(table)],
     )
-    state.round_ids.append(agents["id"].copy())
-    state.round_cells.append(pos)
-    state.alive_counts.append(len(agents))
-    return state
+
+
+def cells_of(agents: np.ndarray, width: int) -> np.ndarray:
+    """Each row's flat index `offset + y * width + x` into the per-seed stacks."""
+    pos = agents["pos"]
+    return agents["offset"] + pos[:, 1] * width + pos[:, 0]
 
 
 def run_round(state: SimState) -> None:
-    """Advance one round; see the module docstring for the phase order."""
+    """Advance every seed of the lockstep one round; see the module docstring for the phase order."""
     cfg = state.config
-    seed = cfg.seed
     t = state.t
     rows = state.agents
-    ids = rows["id"].copy()  # the round's record, which must not hold this table once it is replaced
-    n = state.alive_counts[0]  # the spawns: one draw per agent id, whoever has left
+    runs = state.runs
+    ids = rows["id"].copy()  # the round's records, which must not hold this table once it is replaced
+    cuts = np.searchsorted(rows["offset"], np.arange(len(runs) + 1) * state.occupancy[0].size)
+    bounds = cuts.tolist()
+    spans = [(run, lo, hi) for run, lo, hi in zip(runs, bounds, bounds[1:]) if lo < hi]
 
-    rows["chosen_exit"] = choose_exit(rows, state.exit_dist, derive_stream(seed, t, PURPOSE_EXIT).random(n)[ids])
-    destinations = np.zeros((n, 2), dtype=np.int64)
-    destinations[ids] = choose_destination(rows, state, derive_stream(seed, t, PURPOSE_DESTINATION).random(n)[ids])
-    moved = execute_round(rows, destinations, state.grid, derive_stream(seed, t, PURPOSE_MOVEMENT))
+    u = np.empty(len(rows))
+    for run, lo, hi in spans:  # a seed's spawns get one draw per agent id, whoever has left
+        u[lo:hi] = derive_stream(run.seed, t, PURPOSE_EXIT).random(run.alive_counts[0])[ids[lo:hi]]
+    rows["chosen_exit"] = choose_exit(rows, state.exit_dist, u)
+    for run, lo, hi in spans:
+        u[lo:hi] = derive_stream(run.seed, t, PURPOSE_DESTINATION).random(run.alive_counts[0])[ids[lo:hi]]
+    picked = choose_destination(rows, state, u)
 
-    start = rows["pos"]
-    state.dyn_field.record_moves(np.concatenate((start, moved.end), axis=1))
-    state.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(seed, t, PURPOSE_FIELD))
+    end = np.empty_like(picked)
+    steps = []
+    step_cuts = np.zeros(len(cuts), dtype=np.int64)
+    for run, lo, hi in spans:
+        seed_rows = rows[lo:hi]
+        destinations = np.zeros((run.alive_counts[0], 2), dtype=np.int64)
+        destinations[ids[lo:hi]] = picked[lo:hi]
+        moved = execute_round(seed_rows, destinations, state.grid, derive_stream(run.seed, t, PURPOSE_MOVEMENT))
+        run.dyn_field.record_moves(np.concatenate((seed_rows["pos"], moved.end), axis=1))
+        run.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(run.seed, t, PURPOSE_FIELD))
+        end[lo:hi] = moved.end
+        steps.append(moved.steps)
+        step_cuts[run.slot + 1] = len(moved.steps)
 
     round_no = t + 1
     state.round_ids.append(ids)
-    state.round_cells.append(moved.end)
-    state.round_steps.append(moved.steps)
-    rows["last_disp"] = moved.end - start
-    rows["pos"] = moved.end
-    xs, ys = moved.end.T
+    state.round_cells.append(end)
+    state.round_cuts.append(cuts)
+    state.round_steps.append(np.concatenate(steps))
+    state.step_cuts.append(np.cumsum(step_cuts))
+    rows["last_disp"] = end - rows["pos"]
+    rows["pos"] = end
+    xs, ys = end.T
     out = state.grid.kind[ys, xs] == EXIT
-    state.exit_rounds.update(dict.fromkeys(ids[out].tolist(), round_no))
+    owner = np.searchsorted(cuts, np.flatnonzero(out), side="right") - 1
+    for k, agent in zip(owner.tolist(), ids[out].tolist()):
+        runs[k].exit_rounds[agent] = round_no
     stay = ~out
+    cells = cells_of(rows, state.grid.width)[stay]
     state.occupancy = np.zeros_like(state.occupancy)
-    state.occupancy[ys[stay], xs[stay]] = True
-    if np.count_nonzero(state.occupancy) < np.count_nonzero(stay):
-        held, counts = np.unique(np.stack((xs[stay], ys[stay]), axis=1), axis=0, return_counts=True)
-        cell = tuple(held[counts > 1][0].tolist())
+    state.occupancy.reshape(-1)[cells] = True
+    if np.count_nonzero(state.occupancy) < len(cells):
+        held, counts = np.unique(np.column_stack((rows["offset"], end))[stay], axis=0, return_counts=True)
+        cell = tuple(held[counts > 1][0, 1:].tolist())
         raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
+    left = np.diff(np.concatenate(([0], np.cumsum(stay)))[cuts]).tolist()
+    for run, _, _ in spans:
+        run.alive_counts.append(left[run.slot])
     state.agents = rows[stay]
     state.alive_counts.append(len(state.agents))
     state.t = round_no
 
 
-def run_simulation(
-    spec: ScenarioSpec, config: SimConfig, fields: tuple[np.ndarray, np.ndarray] | None = None
-) -> SimResult:
-    """Run rounds until everyone evacuated or max_rounds is hit; `fields` as in `init_state`."""
-    state = init_state(spec, config, fields)
-    while state.alive_counts[-1] and state.t < config.max_rounds:
-        run_round(state)
-    evacuated = not state.alive_counts[-1]
-    trajectory, step_log = record_tables(state)
+def run_batch(spec: ScenarioSpec, config: SimConfig, seeds: int) -> Iterator[SimResult]:
+    """The results of seeds config.seed, ..., config.seed + seeds - 1, in seed order, run in lockstep
+    groups of at most `lockstep_size(spec)` seeds that share one pair of floor fields.
+
+    The first group is spawned before this returns, so a scenario whose agents cannot reach their
+    exits raises here, before any result is read. A result is yielded once its seed and every
+    earlier one have finished.
+    """
+    state = init_state(spec, config, min(seeds, lockstep_size(spec)))
+    return _results(spec, state, config.seed + seeds)
+
+
+def _results(spec: ScenarioSpec, state: SimState, stop: int) -> Iterator[SimResult]:
+    """Run each lockstep group to its end, and the next from the seed after its last, until `stop`."""
+    while True:
+        pending = deque(state.runs)  # seeds not yet yielded, in seed order
+        while pending:
+            over = not state.alive_counts[-1] or state.t >= state.config.max_rounds
+            while pending and (over or not pending[0].alive_counts[-1]):
+                yield seed_result(state, pending.popleft())
+            if pending:
+                run_round(state)
+        first, size = state.runs[-1].seed + 1, len(state.runs)
+        if first == stop:
+            return
+        state = spawn(spec, replace(state.config, seed=first), min(stop - first, size), state.exit_dist, state.wall_dist)
+
+
+def run_simulation(spec: ScenarioSpec, config: SimConfig) -> SimResult:
+    """Run rounds until everyone evacuated or max_rounds is hit: a lockstep of one seed."""
+    return next(run_batch(spec, config, 1))
+
+
+def seed_result(state: SimState, run: SeedRun) -> SimResult:
+    """The result of a seed of `state` that has finished; `state.t` is its last round unless it evacuated."""
+    evacuated = not run.alive_counts[-1]
+    trajectory, step_log = record_tables(state, run)
     return SimResult(
-        evacuation_rounds=state.t if evacuated else None,
-        agents_total=state.alive_counts[0],
-        seed=config.seed,
-        alive_counts=state.alive_counts,
-        exit_rounds=state.exit_rounds,
+        evacuation_rounds=len(run.alive_counts) - 1 if evacuated else None,
+        agents_total=run.alive_counts[0],
+        seed=run.seed,
+        alive_counts=run.alive_counts,
+        exit_rounds=run.exit_rounds,
         trajectory=trajectory,
         step_log=step_log,
         grid=state.grid,
     )
 
 
-def record_tables(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """The trajectory and step-log tables (see `SimResult`) of the rounds recorded in `state`, filled in place."""
-    sizes = [len(ids) for ids in state.round_ids]
+def record_tables(state: SimState, run: SeedRun) -> tuple[np.ndarray, np.ndarray]:
+    """The trajectory and step-log tables (see `SimResult`) of the rounds that `state` recorded for
+    `run`, filled in place."""
+    i, rounds = run.slot, len(run.alive_counts)
+
+    def own(records: list[np.ndarray], cuts: list[np.ndarray]) -> list[np.ndarray]:
+        return [a[c[i] : c[i + 1]] for a, c in zip(records, cuts)]
+
+    ids, cells = own(state.round_ids[:rounds], state.round_cuts), own(state.round_cells[:rounds], state.round_cuts)
+    steps = own(state.round_steps[: rounds - 1], state.step_cuts)
+    sizes = [len(a) for a in ids]
     trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
     trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-    np.concatenate(state.round_ids, out=trajectory[:, 1])
-    np.concatenate(state.round_cells, out=trajectory[:, 2:])
-    counts = np.array([len(s) for s in state.round_steps], dtype=np.int64)
+    np.concatenate(ids, out=trajectory[:, 1])
+    np.concatenate(cells, out=trajectory[:, 2:])
+    counts = np.array([len(s) for s in steps], dtype=np.int64)
     step_log = np.empty((counts.sum(), 7), dtype=np.int64)
     step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
     step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
-    np.concatenate([np.empty((0, 3), dtype=np.int64), *state.round_steps], out=step_log[:, 2:5])
+    np.concatenate([np.empty((0, 3), dtype=np.int64), *steps], out=step_log[:, 2:5])
     step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], state.grid.width)[::-1]
     return trajectory, step_log

@@ -9,8 +9,8 @@ over the whole grid) and `dijkstra_distances` (a priority-queue search over
 (`engine.agent_table`) for given cells, ids and profiles; the oracles read
 such rows one record at a time (`a.pos`, `a.k`, `a.chosen_exit`, ...).
 The per-cell `logw_*` scalars and `exit_weight` are the independent oracles
-for the package's batched decision kernels, which read a `SimState` built by
-`make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
+for the package's batched decision kernels, which read one seed's state built
+by `make_state`; `neighborhood` lists the in-grid non-wall cells of a speed
 disc, from which the destination kernel takes its candidates.
 `reference_exit_weights` and `reference_destination_distribution` are the
 batched decision kernels as they stood before they read the table's columns:
@@ -389,7 +389,10 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
     """Start-of-run state of an agent-free grid, with the cells in `others` marked occupied.
 
     Built by `init_state`, so its fields are the ones a run reads; the grid
-    need not pass scenario validation.
+    need not pass scenario validation. It holds the lockstep's one seed as
+    (H, W) views of its stacks, the shapes the kernels read for rows whose
+    `offset` is 0: `occupancy`, `counts`, `trace` (the (2, H + 1, W) trace
+    storage) and its field `dyn_field` over that storage.
     """
     from evacsim.decision import crowd_counts
     from evacsim.engine import init_state
@@ -398,7 +401,11 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
     spec = ScenarioSpec(
         grid=Grid.from_kind(kind_from_rows(rows)), profiles={"default": DEFAULT_PROFILE}, spawns=()
     )
-    state = init_state(spec, SimConfig(w_max=w_max))
+    lockstep = init_state(spec, SimConfig(w_max=w_max))
+    state = SimpleNamespace(
+        grid=lockstep.grid, config=lockstep.config, exit_dist=lockstep.exit_dist, wall_dist=lockstep.wall_dist,
+        occupancy=lockstep.occupancy[0, :-1], trace=lockstep.trace[:, 0], dyn_field=lockstep.runs[0].dyn_field,
+    )
     for x, y in others:
         state.occupancy[y, x] = True
     state.counts = crowd_counts(state.occupancy)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evacsim import cli
+from evacsim import cli, engine
 from evacsim.cli import EMIT_CHOICES, main, parse_config_text, UsageError, write_outputs
 from evacsim.engine import run_simulation
 from evacsim.scenario import ScenarioSpec, SimConfig, parse_scenario
@@ -226,6 +229,56 @@ def test_batch_equals_its_seeds_run_alone(tmp_path, capsys):
     for s in range(3, 7):
         write_outputs(run_simulation(spec, SimConfig(seed=s, **sim_kwargs)), str(reference), set(EMIT_CHOICES))
     assert files(reference) == files(batch)
+
+
+# room.txt evacuates in 18 rounds on average, so the cap ends about half of these seeds' runs
+LOCKSTEP_SEEDS = range(40, 140)
+LOCKSTEP_CAP = "18"
+
+
+def seed_files(out: pathlib.Path) -> dict[int, dict]:
+    """The bytes of every file under `out`, by the seed in the name of its top-level entry, then by path."""
+    found: dict[int, dict] = {}
+    for p in out.rglob("*"):
+        if p.is_file():
+            rel = p.relative_to(out)
+            found.setdefault(int(re.search(r"_(\d+)", rel.parts[0])[1]), {})[rel] = p.read_bytes()
+    return found
+
+
+@pytest.fixture(scope="module")
+def seeds_alone(tmp_path_factory):
+    """Every artifact and the stdout line of each of LOCKSTEP_SEEDS run on its own under the round cap."""
+    out = tmp_path_factory.mktemp("alone")
+    lines = []
+    for s in LOCKSTEP_SEEDS:
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            argv = ("--seed", str(s), "--max-rounds", LOCKSTEP_CAP, "--out", str(out))
+            assert run_cli("--scenario", ROOM, "--emit", ",".join(EMIT_CHOICES), *argv) == 0
+        lines += text.getvalue().splitlines()
+    assert any("rounds=none" in line for line in lines) and not all("rounds=none" in line for line in lines)
+    return seed_files(out), lines
+
+
+@pytest.mark.parametrize("size,seeds", [(100, 100), (7, 20), (2, 5), (1, 3)])
+def test_lockstep_equals_its_seeds_run_alone(tmp_path, capsys, monkeypatch, seeds_alone, size, seeds):
+    """A batch of `seeds` seeds runs in lockstep groups of `size` seeds: the default budget holds all
+    100, and a row budget cut down to `size` lockstep rows splits the others into several groups. Seeds
+    leave their lockstep at different rounds, as the round cap ends some runs and not others. Every
+    artifact and `seed=` line equals that of the seed run alone, byte for byte."""
+    spec = parse_scenario(pathlib.Path(ROOM).read_text())
+    if seeds < 100:
+        monkeypatch.setattr(engine, "LOCKSTEP_ROWS", size * len(spec.spawns))
+    assert min(seeds, engine.lockstep_size(spec)) == size
+    alone_files, alone_lines = seeds_alone
+    first = LOCKSTEP_SEEDS[0]
+    argv = ("--seed", str(first), "--seeds", str(seeds), "--max-rounds", LOCKSTEP_CAP, "--out", str(tmp_path))
+    assert run_cli("--scenario", ROOM, "--emit", ",".join(EMIT_CHOICES), *argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:seeds] == alone_lines[:seeds]
+    capped = sum("rounds=none" in line for line in lines[:seeds])
+    assert (f"non_evacuated_runs={capped}" in lines) == (capped > 0)
+    assert seed_files(tmp_path) == {s: alone_files[s] for s in range(first, first + seeds)}
 
 
 def test_config_file_overrides(tmp_path):

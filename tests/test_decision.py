@@ -177,6 +177,9 @@ def test_crowd_counts_equal_the_shifted_slice_oracle(occ):
     assert counts.dtype == np.uint8
     assert np.array_equal(counts, reference_crowd_counts(occ))
     assert counts.max() <= 8
+    # a stack of grids is counted grid by grid: no count reaches across to the next grid
+    stack = np.stack((occ, ~occ, occ[::-1]))
+    assert np.array_equal(crowd_counts(stack), [reference_crowd_counts(g) for g in stack])
 
 
 # ---------------------------------------------------------------- candidates

@@ -212,3 +212,22 @@ def test_sparse_update_equals_whole_grid_draws(world_seed, fill, on_walls, delta
         dy = reference_update_component(dy, wall, delta, alpha, dense_rng)
         assert np.array_equal(f.dx, dx) and np.array_equal(f.dy, dy)
         assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+def test_fields_over_one_stack_update_in_place_and_apart():
+    # a lockstep's seeds hold their fields in one (2, L, H + 1, W) array; each
+    # field's update writes only its own block, and equals a field of its own
+    g = open_grid(9)
+    trace = np.zeros((2, 3, 10, 9), dtype=np.int64)
+    fields = [DynamicField(g, trace[:, 0])]
+    fields += [fields[0].over(trace[:, i]) for i in (1, 2)]
+    alone = DynamicField(g)
+    for f in (*fields, alone):
+        f.record_moves([((4, 4), (6, 3))] * 50 + [((0, 0), (0, 1))] * 9)
+    before = trace.copy()
+    fields[1].decay_and_diffuse(0.3, 0.6, np.random.default_rng(5))
+    alone.decay_and_diffuse(0.3, 0.6, np.random.default_rng(5))
+    assert np.array_equal(fields[1].dx, alone.dx) and np.array_equal(fields[1].dy, alone.dy)
+    assert np.shares_memory(fields[1].dx, trace) and np.shares_memory(fields[1].dy, trace)
+    assert np.array_equal(trace[:, [0, 2]], before[:, [0, 2]])
+    assert not trace[:, :, -1].any()  # the spare row, the sink of lost quanta, is left empty

@@ -153,16 +153,17 @@ def test_round_records_each_net_move_at_its_start_cell():
     # without decay and diffusion the trace after one round is exactly the
     # sum of the agents' net moves, each at its round-start cell
     state = init_state(load("room"), SimConfig(seed=3, delta=0.0, alpha=0.0))
+    (run,) = state.runs
     run_round(state)
-    expected_dx = np.zeros_like(state.dyn_field.dx)
-    expected_dy = np.zeros_like(state.dyn_field.dy)
+    expected_dx = np.zeros_like(run.dyn_field.dx)
+    expected_dy = np.zeros_like(run.dyn_field.dy)
     # rounds 0 and 1 record the same agents in the same order, departures included
     for (sx, sy), (x, y) in zip(state.round_cells[0].tolist(), state.round_cells[1].tolist()):
         expected_dx[sy, sx] = x - sx
         expected_dy[sy, sx] = y - sy
     assert expected_dx.any() or expected_dy.any()
-    assert np.array_equal(state.dyn_field.dx, expected_dx)
-    assert np.array_equal(state.dyn_field.dy, expected_dy)
+    assert np.array_equal(run.dyn_field.dx, expected_dx)
+    assert np.array_equal(run.dyn_field.dy, expected_dy)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -200,8 +201,8 @@ def test_whole_runs_keep_exclusion_and_conserve_the_trace(world_seed, v_max, k_d
         last[aid] = (x, y)
     for r, cells in by_round.items():
         assert len(set(cells)) == len(cells), f"overlap in round {r}"
-    field = states[0].dyn_field
-    assert (int(field.dx.sum()), int(field.dy.sum())) == (moved_x, moved_y)
+    trace_x, trace_y = states[0].trace
+    assert (int(trace_x.sum()), int(trace_y.sum())) == (moved_x, moved_y)
 
 
 def test_density_counts_every_logged_position():
@@ -224,7 +225,7 @@ def test_occupancy_mirrors_alive_agents_after_each_round():
         run_round(state)
         expected = np.zeros_like(state.occupancy)
         for x, y in state.agents["pos"].tolist():
-            expected[y, x] = True
+            expected[0, y, x] = True
         assert np.array_equal(state.occupancy, expected)
         assert np.array_equal(state.counts, crowd_counts(state.occupancy))
 
@@ -319,7 +320,7 @@ def test_zero_coupling_agent_performs_lazy_uniform_walk():
     for _ in range(n):
         state.agents = spawned.copy()
         state.occupancy[:] = False
-        state.occupancy[8, 8] = True
+        state.occupancy[0, 8, 8] = True
         state.counts = crowd_counts(state.occupancy)
         run_round(state)
         d = tuple((state.agents[0].pos - 8).tolist())
@@ -357,7 +358,7 @@ def test_removing_an_agent_keeps_the_others_draws(monkeypatch):
     gone = 4
     x, y = less.agents["pos"][gone]
     less.agents = less.agents[less.agents["id"] != gone]
-    less.occupancy[y, x] = False
+    less.occupancy[0, y, x] = False
     less.counts = crowd_counts(less.occupancy)
     a = capture_draws(monkeypatch, full)
     b = capture_draws(monkeypatch, less)
@@ -426,6 +427,7 @@ def test_agent_table_holds_the_room_in_ascending_id_order():
     # the trajectory lists each round's agents in table order, so its bytes rest on this order
     for seed in range(3):
         state = init_state(load("room"), SimConfig(seed=seed))
+        (run,) = state.runs
         spawned = state.agents
         assert not np.shares_memory(state.round_ids[0], spawned)
         assert not np.shares_memory(state.round_cells[0], spawned)
@@ -434,7 +436,7 @@ def test_agent_table_holds_the_room_in_ascending_id_order():
             run_round(state)
             ids = state.agents["id"].tolist()
             assert all(a < b for a, b in zip(ids, ids[1:]))
-            assert ids == [i for i in range(len(spawned)) if i not in state.exit_rounds]
+            assert ids == [i for i in range(len(spawned)) if i not in run.exit_rounds]
             # a record that viewed a replaced table would keep it alive for the rest of the run
             for record in (state.round_ids[-1], state.round_cells[-1]):
                 assert not np.shares_memory(record, table)
@@ -445,7 +447,7 @@ def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
     spec = load("room")
     state = init_state(spec, SimConfig(seed=0))
     pos = state.agents["pos"]
-    state.occupancy[pos[1, 1], pos[1, 0]] = False
+    state.occupancy[0, pos[1, 1], pos[1, 0]] = False
     pos[1] = pos[0]
     state.counts = crowd_counts(state.occupancy)
     def stay(agents, destinations, grid, rng):
