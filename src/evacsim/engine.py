@@ -11,18 +11,18 @@ Seeds of one scenario run in lockstep, and a single run is a lockstep of one.
 A `SimState`'s agent table (`agent_table`) holds every seed's agents still in
 the room; a round makes one exit-choice and one destination-choice call over
 all of them, while each seed keeps its own streams, movement phase, trace
-update and result (`SeedRun`), byte for byte those of its run alone.
-End-of-round bookkeeping runs once on arrays of all rows' final cells, and a
-round records integer columns, not tuples: the rows' ids and end cells and
-the step rows, which a finished seed joins into its tables. A seed leaves the
-lockstep when its last agent has.
+update and records (`SeedRun`), byte for byte those of its run alone.
+End-of-round bookkeeping runs once on arrays of all rows' final cells. Each
+seed records integer arrays, not tuples: its rows' ids and end cells and its
+step rows, which it joins into its tables once it has finished. A seed leaves
+the lockstep when its last agent has.
 
 Budget: `run_batch` runs lockstep groups of L seeds, L the largest count with
 L x spawned agents <= LOCKSTEP_ROWS and L x H x W <= LOCKSTEP_CELLS, and at
 least 1. So up to 163 seeds of `scenarios/room.txt` (20 x 20 cells, 11 agents)
 run as one lockstep, and a 120 x 120 room of 4177 agents one seed at a time. A
 lockstep's per-seed grids (trace, occupancy, crowd counts) take 18 bytes a
-cell, at most 1.2 MB; its records grow with its rows and rounds.
+cell, at most 1.2 MB; its seeds' records grow with their rows and rounds.
 """
 
 from __future__ import annotations
@@ -58,14 +58,16 @@ def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.G
 
 @dataclass
 class SeedRun:
-    """One seed of a lockstep: its master seed, its `slot` (index in the lockstep), its trace field
-    (a view of the lockstep's `trace`), `alive_counts[r]`, its agents after round r, and
-    `exit_rounds`, the round in which each agent that left stood on an exit, by id."""
+    """One seed of a lockstep: its master seed, its trace field (a view of the lockstep's `trace`),
+    `alive_counts[r]`, its agents after round r, `exit_rounds`, the round in which each agent that
+    left stood on an exit, by id, and its records: `positions[r]`, the (n, 3) int64 (id, x, y) of
+    its rows at the end of round r (round 0: the spawns), and `steps[r - 1]`, round r's step rows."""
 
     seed: int
-    slot: int
     dyn_field: DynamicField
     alive_counts: list[int]
+    positions: list[np.ndarray]
+    steps: list[np.ndarray] = field(default_factory=list)
     exit_rounds: dict[int, int] = field(default_factory=dict)
 
 
@@ -74,8 +76,8 @@ class SimState:
     """A lockstep: everything its rounds read and mutate, for seeds config.seed, config.seed + 1, ...
 
     `agents` is the agent table (see `agent_table`) of the agents still in
-    the room, by seed, then in ascending id order; `runs` holds the seeds by
-    slot, and a seed without agents has left. `exit_dist` is the (E, H, W) stack of
+    the room, by seed, then in ascending id order; `runs` holds the seeds in
+    order, and a seed without agents has left. `exit_dist` is the (E, H, W) stack of
     per-exit distances and `wall_dist` the (H, W) wall distance clamped to
     `config.w_max`; both are read-only and shared by the seeds.
     `occupancy`, `counts` (crowd counts) and the trace components `trace`
@@ -83,10 +85,6 @@ class SimState:
     i's grid is the first H rows of block i, at flat offset i (H + 1) W. The
     last row of a block is spare; the trace update sinks lost quanta there.
     `alive_counts[r]` counts the rows after round r; `t` is the last round.
-    Round r records the rows' ids and end (x, y) (round 0: the spawns) in
-    `round_ids[r]` and `round_cells[r]`, seed i's being rows
-    `round_cuts[r][i]` to `round_cuts[r][i + 1]`, and the step rows in
-    `round_steps[r - 1]`, seed i's from `step_cuts[r - 1][i]` on.
     """
 
     grid: Grid
@@ -100,11 +98,6 @@ class SimState:
     runs: list[SeedRun]
     t: int = 0
     alive_counts: list[int] = field(default_factory=list)
-    round_ids: list[np.ndarray] = field(default_factory=list)
-    round_cells: list[np.ndarray] = field(default_factory=list)
-    round_cuts: list[np.ndarray] = field(default_factory=list)
-    round_steps: list[np.ndarray] = field(default_factory=list)
-    step_cuts: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -187,7 +180,8 @@ def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarr
     occupancy.reshape(-1)[cells_of(agents, grid.width)] = True
     trace = np.zeros((2, seeds, grid.height + 1, grid.width), dtype=np.int64)
     field0 = DynamicField(grid, trace[:, 0])
-    runs = [SeedRun(config.seed + i, i, field0.over(trace[:, i]), [len(table)]) for i in range(seeds)]
+    spawned = np.column_stack((table["id"], table["pos"]))  # round 0's record, shared by the seeds
+    runs = [SeedRun(config.seed + i, field0.over(trace[:, i]), [len(table)], [spawned]) for i in range(seeds)]
     return SimState(
         grid=grid,
         config=config,
@@ -199,10 +193,6 @@ def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarr
         trace=trace,
         runs=runs,
         alive_counts=[len(agents)],
-        # round 0's record, which the table's later writes must not change
-        round_ids=[agents["id"].copy()],
-        round_cells=[agents["pos"].copy()],
-        round_cuts=[np.arange(seeds + 1) * len(table)],
     )
 
 
@@ -218,22 +208,19 @@ def run_round(state: SimState) -> None:
     t = state.t
     rows = state.agents
     runs = state.runs
-    ids = rows["id"].copy()  # the round's records, which must not hold this table once it is replaced
+    ids = rows["id"]
     cuts = np.searchsorted(rows["offset"], np.arange(len(runs) + 1) * state.occupancy[0].size)
     bounds = cuts.tolist()
     spans = [(run, lo, hi) for run, lo, hi in zip(runs, bounds, bounds[1:]) if lo < hi]
 
-    u = np.empty(len(rows))
+    u = {purpose: np.empty(len(rows)) for purpose in (PURPOSE_EXIT, PURPOSE_DESTINATION)}
     for run, lo, hi in spans:  # a seed's spawns get one draw per agent id, whoever has left
-        u[lo:hi] = derive_stream(run.seed, t, PURPOSE_EXIT).random(run.alive_counts[0])[ids[lo:hi]]
-    rows["chosen_exit"] = choose_exit(rows, state.exit_dist, u)
-    for run, lo, hi in spans:
-        u[lo:hi] = derive_stream(run.seed, t, PURPOSE_DESTINATION).random(run.alive_counts[0])[ids[lo:hi]]
-    picked = choose_destination(rows, state, u)
+        for purpose, draws in u.items():
+            draws[lo:hi] = derive_stream(run.seed, t, purpose).random(run.alive_counts[0])[ids[lo:hi]]
+    rows["chosen_exit"] = choose_exit(rows, state.exit_dist, u[PURPOSE_EXIT])
+    picked = choose_destination(rows, state, u[PURPOSE_DESTINATION])
 
     end = np.empty_like(picked)
-    steps = []
-    step_cuts = np.zeros(len(cuts), dtype=np.int64)
     for run, lo, hi in spans:
         seed_rows = rows[lo:hi]
         destinations = np.zeros((run.alive_counts[0], 2), dtype=np.int64)
@@ -242,15 +229,10 @@ def run_round(state: SimState) -> None:
         run.dyn_field.record_moves(np.concatenate((seed_rows["pos"], moved.end), axis=1))
         run.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(run.seed, t, PURPOSE_FIELD))
         end[lo:hi] = moved.end
-        steps.append(moved.steps)
-        step_cuts[run.slot + 1] = len(moved.steps)
+        run.positions.append(np.column_stack((ids[lo:hi], moved.end)))
+        run.steps.append(moved.steps)
 
     round_no = t + 1
-    state.round_ids.append(ids)
-    state.round_cells.append(end)
-    state.round_cuts.append(cuts)
-    state.round_steps.append(np.concatenate(steps))
-    state.step_cuts.append(np.cumsum(step_cuts))
     rows["last_disp"] = end - rows["pos"]
     rows["pos"] = end
     xs, ys = end.T
@@ -267,9 +249,9 @@ def run_round(state: SimState) -> None:
         cell = tuple(held[counts > 1][0, 1:].tolist())
         raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
-    left = np.diff(np.concatenate(([0], np.cumsum(stay)))[cuts]).tolist()
-    for run, _, _ in spans:
-        run.alive_counts.append(left[run.slot])
+    kept = np.concatenate(([0], np.cumsum(stay))).tolist()  # kept[i]: rows before row i that stay
+    for run, lo, hi in spans:
+        run.alive_counts.append(kept[hi] - kept[lo])
     state.agents = rows[stay]
     state.alive_counts.append(len(state.agents))
     state.t = round_no
@@ -309,9 +291,19 @@ def run_simulation(spec: ScenarioSpec, config: SimConfig) -> SimResult:
 
 
 def seed_result(state: SimState, run: SeedRun) -> SimResult:
-    """The result of a seed of `state` that has finished; `state.t` is its last round unless it evacuated."""
+    """The result of a seed of `state` that has finished, its records joined into the tables of
+    `SimResult`; `state.t` is its last round unless it evacuated."""
     evacuated = not run.alive_counts[-1]
-    trajectory, step_log = record_tables(state, run)
+    sizes = [len(a) for a in run.positions]
+    trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
+    trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    np.concatenate(run.positions, out=trajectory[:, 1:])
+    counts = np.array([len(s) for s in run.steps], dtype=np.int64)
+    step_log = np.empty((counts.sum(), 7), dtype=np.int64)
+    step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
+    step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
+    np.concatenate([np.empty((0, 3), dtype=np.int64), *run.steps], out=step_log[:, 2:5])
+    step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], state.grid.width)[::-1]
     return SimResult(
         evacuation_rounds=len(run.alive_counts) - 1 if evacuated else None,
         agents_total=run.alive_counts[0],
@@ -322,27 +314,3 @@ def seed_result(state: SimState, run: SeedRun) -> SimResult:
         step_log=step_log,
         grid=state.grid,
     )
-
-
-def record_tables(state: SimState, run: SeedRun) -> tuple[np.ndarray, np.ndarray]:
-    """The trajectory and step-log tables (see `SimResult`) of the rounds that `state` recorded for
-    `run`, filled in place."""
-    i, rounds = run.slot, len(run.alive_counts)
-
-    def own(records: list[np.ndarray], cuts: list[np.ndarray]) -> list[np.ndarray]:
-        return [a[c[i] : c[i + 1]] for a, c in zip(records, cuts)]
-
-    ids, cells = own(state.round_ids[:rounds], state.round_cuts), own(state.round_cells[:rounds], state.round_cuts)
-    steps = own(state.round_steps[: rounds - 1], state.step_cuts)
-    sizes = [len(a) for a in ids]
-    trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
-    trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-    np.concatenate(ids, out=trajectory[:, 1])
-    np.concatenate(cells, out=trajectory[:, 2:])
-    counts = np.array([len(s) for s in steps], dtype=np.int64)
-    step_log = np.empty((counts.sum(), 7), dtype=np.int64)
-    step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
-    step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
-    np.concatenate([np.empty((0, 3), dtype=np.int64), *steps], out=step_log[:, 2:5])
-    step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], state.grid.width)[::-1]
-    return trajectory, step_log

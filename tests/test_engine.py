@@ -158,7 +158,7 @@ def test_round_records_each_net_move_at_its_start_cell():
     expected_dx = np.zeros_like(run.dyn_field.dx)
     expected_dy = np.zeros_like(run.dyn_field.dy)
     # rounds 0 and 1 record the same agents in the same order, departures included
-    for (sx, sy), (x, y) in zip(state.round_cells[0].tolist(), state.round_cells[1].tolist()):
+    for (sx, sy), (x, y) in zip(run.positions[0][:, 1:].tolist(), run.positions[1][:, 1:].tolist()):
         expected_dx[sy, sx] = x - sx
         expected_dy[sy, sx] = y - sy
     assert expected_dx.any() or expected_dy.any()
@@ -429,8 +429,7 @@ def test_agent_table_holds_the_room_in_ascending_id_order():
         state = init_state(load("room"), SimConfig(seed=seed))
         (run,) = state.runs
         spawned = state.agents
-        assert not np.shares_memory(state.round_ids[0], spawned)
-        assert not np.shares_memory(state.round_cells[0], spawned)
+        assert not np.shares_memory(run.positions[0], spawned)
         while len(state.agents) and state.t < state.config.max_rounds:
             table = state.agents
             run_round(state)
@@ -438,9 +437,31 @@ def test_agent_table_holds_the_room_in_ascending_id_order():
             assert all(a < b for a, b in zip(ids, ids[1:]))
             assert ids == [i for i in range(len(spawned)) if i not in run.exit_rounds]
             # a record that viewed a replaced table would keep it alive for the rest of the run
-            for record in (state.round_ids[-1], state.round_cells[-1]):
+            for record in (run.positions[-1], run.steps[-1]):
                 assert not np.shares_memory(record, table)
                 assert not np.shares_memory(record, state.agents)
+
+
+def test_lockstep_seeds_keep_records_of_their_own_rounds():
+    # under the cap some seeds evacuate, each in its own round, and the others run to the cap
+    state = init_state(load("room"), SimConfig(seed=40, max_rounds=18), seeds=12)
+    spawned = state.agents
+    for run in state.runs:
+        assert not np.shares_memory(run.positions[0], spawned)
+    while len(state.agents) and state.t < state.config.max_rounds:
+        table = state.agents
+        new = [len(run.positions) for run in state.runs]
+        run_round(state)
+        for run, k in zip(state.runs, new):
+            for record in run.positions[k:] + run.steps[k - 1 :]:
+                assert not np.shares_memory(record, table)
+                assert not np.shares_memory(record, state.agents)
+    evacuated = [len(run.alive_counts) for run in state.runs if not run.alive_counts[-1]]
+    assert len(set(evacuated)) > 1 and len(evacuated) < len(state.runs)
+    for run in state.runs:
+        rows = [run.alive_counts[0], *run.alive_counts[:-1]]  # a round's rows are those alive at its start
+        assert [len(p) for p in run.positions] == rows
+        assert len(run.steps) == len(rows) - 1
 
 
 def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
