@@ -146,7 +146,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
     """Destination laws of all agent rows, one block per v_max class and BLOCK_ROWS rows.
 
     Reads the start-of-round `state`: grid, exit and wall distances, the
-    occupancy, the crowd counts and the (2, ...) trace components `trace`,
+    occupancy, the crowd counts and the trace components `dyn_field.trace`,
     each read at a row's `offset`, and `config.w_max`. Every row needs a
     chosen exit (-1 raises). The log weight of candidate c for an agent at p is
     -k_S S(c) + k_D T(c).(c - p) - k_I (|v| + |u|) sin(phi/2)
@@ -167,7 +167,7 @@ def destination_distribution(agents: np.ndarray, state: SimState) -> Iterator[De
     k = agents["k"]
     width, height = state.grid.width, state.grid.height
     w_max = state.config.w_max
-    trace_x, trace_y = state.trace
+    trace_x, trace_y = state.dyn_field.trace
     # fields are read through flat cell indices y * width + x, a seed's grids through offset + y * width + x
     flat_dist = state.exit_dist.reshape(len(state.exit_dist), -1)
     for v in np.flatnonzero(np.bincount(v_max)).tolist():

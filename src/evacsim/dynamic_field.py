@@ -7,22 +7,20 @@ decays with probability delta; survivors diffuse with probability alpha to a
 uniformly random von Neumann neighbor, keeping sign and component. Quanta
 landing on walls (or off-grid) are destroyed.
 
-Per-cell binomial/multinomial draws over the quanta counts equal per-quantum
-coin flips in law. They run only at cells holding quanta, in row-major order;
-numpy draws nothing for a zero count, so they equal the whole-grid draws.
-
-A field's storage is one (2, H + 1, W) array: the dx and dy grids, each with
-a spare row whose first cell is the sink of destroyed quanta. The update
-writes it in place, so a field can live in a view of a larger array.
+Storage is a lockstep's (2, L, H + 1, W) stack of its seeds' dx and dy grids,
+each with a spare row whose first cell is the seed's sink of lost quanta (a
+lone field: (2, H + 1, W), L = 1). One update scans, gathers and scatters the
+whole stack in place; only the draws run per seed, from its own generator, at
+its cells holding quanta in row-major order, dx then dy, and directions only at
+movers. Per-cell binomial and multinomial draws equal per-quantum coin flips in
+law, and numpy draws nothing for a zero count, so they equal whole-grid draws.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from .scenario import WALL, Grid
+from .scenario import MOORE_OFFSETS, WALL, Grid
 
 # von Neumann directions, fixed order for reproducible stream consumption
 _VN_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -30,54 +28,56 @@ _VN_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 class DynamicField:
     def __init__(self, grid: Grid, trace: np.ndarray | None = None):
-        """A zero field of `grid`, or one over the (2, H + 1, W) int64 storage `trace`."""
+        """A zero field of `grid`, or one over `trace`, C-contiguous int64 (2, L, H + 1, W) or (2, H + 1, W)."""
         h, w = grid.height, grid.width
-        # flat cell index, padded by the sink h*w, which also stands for every wall cell
-        cell = np.full((h + 2, w + 2), h * w, dtype=np.int32)
-        cell[1:-1, 1:-1] = np.where(grid.kind == WALL, h * w, np.arange(h * w).reshape(h, w))
-        self._stay = cell[1:-1, 1:-1].ravel()
-        shifted = [cell[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w].ravel() for dx, dy in _VN_DIRS]
-        self._neighbor = np.stack(shifted, axis=1)  # (h*w, 4) von Neumann targets
-        self._over(np.zeros((2, h + 1, w), dtype=np.int64) if trace is None else trace)
+        trace = np.zeros((2, h + 1, w), dtype=np.int64) if trace is None else trace
+        # (4, h*w) von Neumann targets relative to the cell: the step where `Grid.steps` permits it, else the sink h*w
+        bits = grid.steps.ravel() >> np.array([[MOORE_OFFSETS.index(d)] for d in _VN_DIRS], dtype=np.uint8) & 1
+        steps = np.array([[dx + dy * w] for dx, dy in _VN_DIRS], dtype=np.int32)
+        self._shift = np.where(bits, steps, h * w - np.arange(h * w, dtype=np.int32))
+        self._keep = grid.kind.ravel() != WALL  # False where staying quanta are destroyed
+        self._width, self._block = w, (h + 1) * w
+        self.trace = trace.reshape(2, -1, self._block)  # component, seed, the seed's cells then its spare row
+        self.dx, self.dy = trace[..., :-1, :]
 
-    def _over(self, trace: np.ndarray) -> DynamicField:
-        self._trace = trace
-        self.dx, self.dy = trace[:, :-1]
-        return self
-
-    def over(self, trace: np.ndarray) -> DynamicField:
-        """A field of the same grid over the storage `trace`, sharing this field's grid tables."""
-        return copy.copy(self)._over(trace)
-
-    def record_moves(self, moves) -> None:
-        """Add each (from_x, from_y, to_x, to_y) row's net displacement at its start cell; pairs of pairs do too."""
+    def record_moves(self, moves, offset=0) -> None:
+        """Add each (from_x, from_y, to_x, to_y) row's (or pair of pairs') net move at its start cell + `offset`."""
         fx, fy, tx, ty = np.asarray(moves, dtype=np.int64).reshape(-1, 4).T
-        np.add.at(self.dx, (fy, fx), tx - fx)
-        np.add.at(self.dy, (fy, fx), ty - fy)
+        cells = offset + fy * self._width + fx
+        dx, dy = self.trace.reshape(2, -1)
+        np.add.at(dx, cells, tx - fx)
+        np.add.at(dy, cells, ty - fy)
 
-    def decay_and_diffuse(self, delta: float, alpha: float, rng: np.random.Generator) -> None:
-        """One stochastic field update: decay first, then diffusion of survivors."""
-        for store in self._trace:  # dx, then dy
-            self._update_component(store, delta, alpha, rng)
-
-    def _update_component(self, store: np.ndarray, delta: float, alpha: float, rng: np.random.Generator) -> None:
-        flat = store.reshape(-1)  # the grid's cells, then the spare row, whose first cell is the sink
-        # a call on counts that are all zero would draw nothing, so it is skipped
-        cells = np.flatnonzero(store[:-1] != 0)  # numpy scans bool far faster than int64
-        if not cells.size:
-            return
+    def decay_and_diffuse(self, delta: float, alpha: float, *rngs: np.random.Generator | None) -> None:
+        """One stochastic update, decay first, then diffusion of survivors: seed i's block draws from
+        rngs[i], one per seed, and a block whose generator is None is left as it is."""
+        held = self.trace != 0  # numpy scans bool far faster than int64; the sinks are empty
+        held[:, [i for i, rng in enumerate(rngs) if rng is None]] = False
+        cells = np.flatnonzero(held)
+        flat = self.trace.reshape(-1)
         quanta = flat[cells]
-        flat[cells] = 0
-        sign = np.sign(quanta)
-        survivors = rng.binomial(np.abs(quanta), 1.0 - delta)
-        if not survivors.any():
-            return
-        movers = rng.binomial(survivors, alpha)
-        if movers.any():
-            split = rng.multinomial(movers, (0.25, 0.25, 0.25, 0.25))
-        else:
-            split = np.zeros((cells.size, 4), dtype=np.int64)
-        targets = np.concatenate((self._stay[cells], self._neighbor[cells].ravel()))
-        counts = np.concatenate((sign * (survivors - movers), (sign[:, None] * split).ravel()))
-        np.add.at(flat, targets, counts)
-        flat[store[:-1].size] = 0  # empty the sink
+        counts = np.abs(quanta)
+        stays, moving, splits = np.zeros_like(counts), [], []
+        seeds = self.trace.shape[1]
+        cuts = np.searchsorted(cells, np.arange(2 * seeds + 1) * self._block).tolist()
+        for i, rng in zip(range(seeds), rngs, strict=True):
+            for lo, hi in ((cuts[i], cuts[i + 1]), (cuts[seeds + i], cuts[seeds + i + 1])):  # dx, then dy
+                # a call on counts that are all zero would draw nothing, so it is skipped
+                if lo == hi:
+                    continue
+                kept = rng.binomial(counts[lo:hi], 1.0 - delta)
+                if not np.count_nonzero(kept):
+                    continue
+                left = rng.binomial(kept, alpha)
+                stays[lo:hi] = kept - left
+                at = left.nonzero()[0]
+                if at.size:
+                    moving.append(at + lo)
+                    splits.append(rng.multinomial(left[at], (0.25, 0.25, 0.25, 0.25)))
+        rel, sign = cells % self._block, np.sign(quanta)
+        flat[cells] = sign * stays * self._keep[rel]
+        if moving:
+            at = np.concatenate(moving)
+            targets = cells[at] + self._shift[:, rel[at]]  # (4, movers); a lost quantum lands in its seed's sink
+            np.add.at(flat, targets, (np.concatenate(splits) * sign[at, None]).T)
+            self.trace[..., self._block - self._width] = 0  # empty the sinks

@@ -9,13 +9,11 @@ agents are still in the room. One round models one second; one cell edge is
 
 Seeds of one scenario run in lockstep, and a single run is a lockstep of one.
 A `SimState`'s agent table (`agent_table`) holds every seed's agents still in
-the room; a round makes one exit-choice and one destination-choice call over
-all of them, while each seed keeps its own streams, movement phase, trace
-update and records (`SeedRun`), byte for byte those of its run alone.
-End-of-round bookkeeping runs once on arrays of all rows' final cells. Each
-seed records integer arrays, not tuples: its rows' ids and end cells and its
-step rows, which it joins into its tables once it has finished. A seed leaves
-the lockstep when its last agent has.
+the room. A round makes one exit-choice, one destination-choice and one trace
+update call over all of them, and its end-of-round bookkeeping runs once; per
+seed are the streams, the movement phase, the records (`SeedRun`) and the
+trace update's draws, byte for byte those of its run alone. A seed leaves the
+lockstep when its last agent has.
 
 Budget: `run_batch` runs lockstep groups of L seeds, L the largest count with
 L x spawned agents <= LOCKSTEP_ROWS and L x H x W <= LOCKSTEP_CELLS, and at
@@ -51,20 +49,26 @@ PURPOSE_MOVEMENT = 2
 PURPOSE_FIELD = 3
 
 
+def _key_words(n: int) -> list[int]:
+    """The 32-bit little-endian words `SeedSequence` makes of an int >= 0 (0 is one word); it reads them faster."""
+    return [n & 0xFFFFFFFF, *_key_words(n >> 32)] if n >> 32 > 0 else [n]
+
+
 def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.Generator:
-    """Independent deterministic substream for one (round, purpose); the pinned digests rest on the key's fixed 0."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, round_idx, 0, purpose]))
+    """The stream of one (round, purpose): numpy's for [master_seed, round_idx, 0, purpose]; the digests pin the 0."""
+    key = np.array([*_key_words(master_seed), *_key_words(round_idx), 0, purpose], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 @dataclass
 class SeedRun:
-    """One seed of a lockstep: its master seed, its trace field (a view of the lockstep's `trace`),
-    `alive_counts[r]`, its agents after round r, `exit_rounds`, the round in which each agent that
-    left stood on an exit, by id, and its records: `positions[r]`, the (n, 3) int64 (id, x, y) of
-    its rows at the end of round r (round 0: the spawns), and `steps[r - 1]`, round r's step rows."""
+    """One seed of a lockstep. Per seed are the streams, the movement and the records; the trace update runs once
+    per lockstep, drawing from each seed's stream. Holds its master seed, `alive_counts[r]`, its agents after round
+    r, `exit_rounds`, the round in which each agent that left stood on an exit, by id, and its records:
+    `positions[r]`, the (n, 3) int64 (id, x, y) of its rows at the end of round r (round 0: the spawns), and
+    `steps[r - 1]`, round r's step rows."""
 
     seed: int
-    dyn_field: DynamicField
     alive_counts: list[int]
     positions: list[np.ndarray]
     steps: list[np.ndarray] = field(default_factory=list)
@@ -75,16 +79,13 @@ class SeedRun:
 class SimState:
     """A lockstep: everything its rounds read and mutate, for seeds config.seed, config.seed + 1, ...
 
-    `agents` is the agent table (see `agent_table`) of the agents still in
-    the room, by seed, then in ascending id order; `runs` holds the seeds in
-    order, and a seed without agents has left. `exit_dist` is the (E, H, W) stack of
-    per-exit distances and `wall_dist` the (H, W) wall distance clamped to
-    `config.w_max`; both are read-only and shared by the seeds.
-    `occupancy`, `counts` (crowd counts) and the trace components `trace`
-    are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds' grids: seed
-    i's grid is the first H rows of block i, at flat offset i (H + 1) W. The
-    last row of a block is spare; the trace update sinks lost quanta there.
-    `alive_counts[r]` counts the rows after round r; `t` is the last round.
+    `agents` is the agent table (see `agent_table`) of the agents still in the room, by seed, then in ascending
+    id order; `runs` holds the seeds in order, and a seed without agents has left. `exit_dist` is the (E, H, W)
+    stack of per-exit distances and `wall_dist` the (H, W) wall distance clamped to `config.w_max`; both are
+    read-only and shared by the seeds. `occupancy`, `counts` (crowd counts) and the components of `dyn_field`,
+    the trace field, are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds' grids: seed i's grid is the
+    first H rows of block i, at flat offset i (H + 1) W; the last row is spare, and the trace update sinks lost
+    quanta there. `alive_counts[r]` counts the rows after round r; `t` is the last round.
     """
 
     grid: Grid
@@ -94,7 +95,7 @@ class SimState:
     wall_dist: np.ndarray
     occupancy: np.ndarray
     counts: np.ndarray
-    trace: np.ndarray
+    dyn_field: DynamicField
     runs: list[SeedRun]
     t: int = 0
     alive_counts: list[int] = field(default_factory=list)
@@ -178,10 +179,8 @@ def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarr
     agents["offset"] = np.repeat(np.arange(seeds) * block, len(table))
     occupancy = np.zeros((seeds, grid.height + 1, grid.width), dtype=bool)
     occupancy.reshape(-1)[cells_of(agents, grid.width)] = True
-    trace = np.zeros((2, seeds, grid.height + 1, grid.width), dtype=np.int64)
-    field0 = DynamicField(grid, trace[:, 0])
     spawned = np.column_stack((table["id"], table["pos"]))  # round 0's record, shared by the seeds
-    runs = [SeedRun(config.seed + i, field0.over(trace[:, i]), [len(table)], [spawned]) for i in range(seeds)]
+    runs = [SeedRun(config.seed + i, [len(table)], [spawned]) for i in range(seeds)]
     return SimState(
         grid=grid,
         config=config,
@@ -190,7 +189,7 @@ def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarr
         wall_dist=wall_dist,
         occupancy=occupancy,
         counts=crowd_counts(occupancy),
-        trace=trace,
+        dyn_field=DynamicField(grid, np.zeros((2, seeds, grid.height + 1, grid.width), dtype=np.int64)),
         runs=runs,
         alive_counts=[len(agents)],
     )
@@ -204,7 +203,6 @@ def cells_of(agents: np.ndarray, width: int) -> np.ndarray:
 
 def run_round(state: SimState) -> None:
     """Advance every seed of the lockstep one round; see the module docstring for the phase order."""
-    cfg = state.config
     t = state.t
     rows = state.agents
     runs = state.runs
@@ -226,11 +224,12 @@ def run_round(state: SimState) -> None:
         destinations = np.zeros((run.alive_counts[0], 2), dtype=np.int64)
         destinations[ids[lo:hi]] = picked[lo:hi]
         moved = execute_round(seed_rows, destinations, state.grid, derive_stream(run.seed, t, PURPOSE_MOVEMENT))
-        run.dyn_field.record_moves(np.concatenate((seed_rows["pos"], moved.end), axis=1))
-        run.dyn_field.decay_and_diffuse(cfg.delta, cfg.alpha, derive_stream(run.seed, t, PURPOSE_FIELD))
         end[lo:hi] = moved.end
         run.positions.append(np.column_stack((ids[lo:hi], moved.end)))
         run.steps.append(moved.steps)
+    state.dyn_field.record_moves(np.concatenate((rows["pos"], end), axis=1), rows["offset"])
+    rngs = (derive_stream(run.seed, t, PURPOSE_FIELD) if run.alive_counts[-1] else None for run in runs)
+    state.dyn_field.decay_and_diffuse(state.config.delta, state.config.alpha, *rngs)
 
     round_no = t + 1
     rows["last_disp"] = end - rows["pos"]

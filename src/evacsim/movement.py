@@ -41,7 +41,7 @@ TIER_KEYS = 4096
 
 @dataclass
 class RoundExecution:
-    """Movement outcome: (k, 3) int64 (id, from cell, to cell) step rows; the (n, 2) (x, y) after the round."""
+    """Movement outcome: (k, 3) int64 (id, from cell, to cell) step rows, owning their data; the (n, 2) end (x, y)."""
 
     steps: np.ndarray
     end: np.ndarray
@@ -145,4 +145,4 @@ def execute_round(
 
     end = np.empty((len(cell), 2), dtype=np.int64)
     end[:, 1], end[:, 0] = np.divmod(cell, width)
-    return RoundExecution(np.array(log, dtype=np.int64).reshape(-1, 3), end)
+    return RoundExecution(np.array(log, dtype=np.int64).reshape(-1, 3).copy(), end)

@@ -391,10 +391,11 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
     Built by `init_state`, so its fields are the ones a run reads; the grid
     need not pass scenario validation. It holds the lockstep's one seed as
     (H, W) views of its stacks, the shapes the kernels read for rows whose
-    `offset` is 0: `occupancy`, `counts`, `trace` (the (2, H + 1, W) trace
-    storage) and its field `dyn_field` over that storage.
+    `offset` is 0: `occupancy`, `counts` and `dyn_field`, a lone field over
+    the lockstep's trace storage.
     """
     from evacsim.decision import crowd_counts
+    from evacsim.dynamic_field import DynamicField
     from evacsim.engine import init_state
     from evacsim.scenario import DEFAULT_PROFILE, Grid, ScenarioSpec, SimConfig
 
@@ -404,7 +405,8 @@ def make_state(rows: list[str], *, w_max: float = 3.0, others=()):
     lockstep = init_state(spec, SimConfig(w_max=w_max))
     state = SimpleNamespace(
         grid=lockstep.grid, config=lockstep.config, exit_dist=lockstep.exit_dist, wall_dist=lockstep.wall_dist,
-        occupancy=lockstep.occupancy[0, :-1], trace=lockstep.trace[:, 0], dyn_field=lockstep.runs[0].dyn_field,
+        occupancy=lockstep.occupancy[0, :-1],
+        dyn_field=DynamicField(lockstep.grid, lockstep.dyn_field.trace.reshape(2, -1, lockstep.grid.width)),
     )
     for x, y in others:
         state.occupancy[y, x] = True

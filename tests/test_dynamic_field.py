@@ -216,18 +216,49 @@ def test_sparse_update_equals_whole_grid_draws(world_seed, fill, on_walls, delta
 
 def test_fields_over_one_stack_update_in_place_and_apart():
     # a lockstep's seeds hold their fields in one (2, L, H + 1, W) array; each
-    # field's update writes only its own block, and equals a field of its own
+    # seed's block updates from its own generator, in place, and equals a field
+    # of its own; a block passed None is left as it is
     g = open_grid(9)
     trace = np.zeros((2, 3, 10, 9), dtype=np.int64)
-    fields = [DynamicField(g, trace[:, 0])]
-    fields += [fields[0].over(trace[:, i]) for i in (1, 2)]
+    stack = DynamicField(g, trace)
     alone = DynamicField(g)
-    for f in (*fields, alone):
-        f.record_moves([((4, 4), (6, 3))] * 50 + [((0, 0), (0, 1))] * 9)
+    for f, offset in ((stack, 0), (stack, 90), (stack, 180), (alone, 0)):
+        f.record_moves([((4, 4), (6, 3))] * 50 + [((0, 0), (0, 1))] * 9, offset)
     before = trace.copy()
-    fields[1].decay_and_diffuse(0.3, 0.6, np.random.default_rng(5))
+    stack.decay_and_diffuse(0.3, 0.6, None, np.random.default_rng(5), None)
     alone.decay_and_diffuse(0.3, 0.6, np.random.default_rng(5))
-    assert np.array_equal(fields[1].dx, alone.dx) and np.array_equal(fields[1].dy, alone.dy)
-    assert np.shares_memory(fields[1].dx, trace) and np.shares_memory(fields[1].dy, trace)
+    assert np.array_equal(stack.dx[1], alone.dx) and np.array_equal(stack.dy[1], alone.dy)
+    assert np.shares_memory(stack.dx, trace) and np.shares_memory(stack.dy, trace)
     assert np.array_equal(trace[:, [0, 2]], before[:, [0, 2]])
     assert not trace[:, :, -1].any()  # the spare row, the sink of lost quanta, is left empty
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3)), RATES, RATES)
+def test_stack_update_equals_each_seed_updated_alone(world_seed, seeds, delta, alpha):
+    # every seed's block of one (2, L, H + 1, W) stack, quanta on walls included, updates as
+    # a lone field of its own with the same generator; a seed passed None keeps every byte
+    rng = np.random.default_rng(world_seed)
+    kind = random_kind(rng, max_side=10)
+    g = Grid.from_kind(kind)
+    h, w = kind.shape
+    trace = np.zeros((2, seeds, h + 1, w), dtype=np.int64)
+    held = rng.random((2, seeds, h, w)) < rng.choice((0.0, 0.1, 0.5))
+    trace[:, :, :-1][held] = rng.integers(-30, 31, size=int(held.sum()))
+    stack = DynamicField(g, trace)
+    alone = [DynamicField(g) for _ in range(seeds)]
+    for i, f in enumerate(alone):
+        f.dx[:], f.dy[:] = trace[0, i, :-1], trace[1, i, :-1]
+    live = rng.random(seeds) < 0.7
+    for step in range(3):
+        before = trace.copy()
+        stack.decay_and_diffuse(
+            delta, alpha, *(np.random.default_rng([world_seed, step, i]) if on else None for i, on in enumerate(live))
+        )
+        for i, f in enumerate(alone):
+            if live[i]:
+                f.decay_and_diffuse(delta, alpha, np.random.default_rng([world_seed, step, i]))
+                assert np.array_equal(stack.dx[i], f.dx) and np.array_equal(stack.dy[i], f.dy)
+            else:
+                assert trace[:, i].tobytes() == before[:, i].tobytes()
+        assert not trace[:, :, -1].any()  # every sink ends empty

@@ -52,6 +52,17 @@ def test_derive_stream_is_deterministic():
     assert np.array_equal(a, key)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("round_idx", [0, 5, 2**32 + 1])
+def test_derive_stream_equals_numpy_stream_of_the_int_key(seed, round_idx):
+    # the key is handed to numpy as 32-bit words; a value of 2**32 or more takes two or more of them
+    for purpose in (PURPOSE_EXIT, PURPOSE_MOVEMENT):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, round_idx, 0, purpose]))
+        drawn = derive_stream(seed, round_idx, purpose)
+        assert np.array_equal(drawn.random(6), expected.random(6))
+        assert drawn.bit_generator.state == expected.bit_generator.state
+
+
 def test_derive_stream_separates_arguments():
     base = derive_stream(42, 3, PURPOSE_EXIT).integers(0, 2**63, 4)
     for args in ((43, 3, PURPOSE_EXIT), (42, 4, PURPOSE_EXIT), (42, 3, PURPOSE_DESTINATION)):
@@ -155,15 +166,16 @@ def test_round_records_each_net_move_at_its_start_cell():
     state = init_state(load("room"), SimConfig(seed=3, delta=0.0, alpha=0.0))
     (run,) = state.runs
     run_round(state)
-    expected_dx = np.zeros_like(run.dyn_field.dx)
-    expected_dy = np.zeros_like(run.dyn_field.dy)
+    (dx,), (dy,) = state.dyn_field.dx, state.dyn_field.dy
+    expected_dx = np.zeros_like(dx)
+    expected_dy = np.zeros_like(dy)
     # rounds 0 and 1 record the same agents in the same order, departures included
     for (sx, sy), (x, y) in zip(run.positions[0][:, 1:].tolist(), run.positions[1][:, 1:].tolist()):
         expected_dx[sy, sx] = x - sx
         expected_dy[sy, sx] = y - sy
     assert expected_dx.any() or expected_dy.any()
-    assert np.array_equal(run.dyn_field.dx, expected_dx)
-    assert np.array_equal(run.dyn_field.dy, expected_dy)
+    assert np.array_equal(dx, expected_dx)
+    assert np.array_equal(dy, expected_dy)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -201,7 +213,7 @@ def test_whole_runs_keep_exclusion_and_conserve_the_trace(world_seed, v_max, k_d
         last[aid] = (x, y)
     for r, cells in by_round.items():
         assert len(set(cells)) == len(cells), f"overlap in round {r}"
-    trace_x, trace_y = states[0].trace
+    trace_x, trace_y = states[0].dyn_field.trace
     assert (int(trace_x.sum()), int(trace_y.sum())) == (moved_x, moved_y)
 
 
