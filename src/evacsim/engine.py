@@ -2,10 +2,12 @@
 
 Randomness discipline: every random draw comes from a stream keyed by
 (master seed, round, purpose), so a run is exactly reproducible from its
-seed. Exit and destination choice each draw one uniform per agent id from a
-single per-round stream, so an agent's draws do not depend on which other
-agents are still in the room. One round models one second; one cell edge is
-0.4 m.
+seed: numpy's PCG64 stream of `SeedSequence([seed, round, 0, purpose])`. A
+lockstep of L seeds hashes the keys of ceil(64 / L) rounds at once
+(`stream_words`) and builds each stream from its words (`derive_stream`).
+Exit and destination choice each draw one uniform per agent id from a single
+per-round stream, so an agent's draws do not depend on which other agents
+are still in the room. One round models one second; one cell edge is 0.4 m.
 
 Seeds of one scenario run in lockstep, and a single run is a lockstep of one.
 A `SimState`'s agent table (`agent_table`) holds every seed's agents still in
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -42,22 +44,73 @@ ROUND_SECONDS = 1.0
 LOCKSTEP_ROWS = 4096
 LOCKSTEP_CELLS = 1 << 16
 
-# purpose tags for derive_stream
-PURPOSE_EXIT = 0
-PURPOSE_DESTINATION = 1
-PURPOSE_MOVEMENT = 2
-PURPOSE_FIELD = 3
+PURPOSE_EXIT, PURPOSE_DESTINATION, PURPOSE_MOVEMENT, PURPOSE_FIELD = range(4)  # a stream key's last word
+
+# numpy's SeedSequence hash: its entropy pool's (`hashmix`, `mix`) and `generate_state`'s multipliers
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
 def _key_words(n: int) -> list[int]:
-    """The 32-bit little-endian words `SeedSequence` makes of an int >= 0 (0 is one word); it reads them faster."""
+    """The 32-bit little-endian words `SeedSequence` makes of an int >= 0 (0 is one word)."""
     return [n & 0xFFFFFFFF, *_key_words(n >> 32)] if n >> 32 > 0 else [n]
 
 
-def derive_stream(master_seed: int, round_idx: int, purpose: int) -> np.random.Generator:
-    """The stream of one (round, purpose): numpy's for [master_seed, round_idx, 0, purpose]; the digests pin the 0."""
-    key = np.array([*_key_words(master_seed), *_key_words(round_idx), 0, purpose], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(key))
+def _hashes(init: int, mult: int, calls: int) -> np.ndarray:
+    """The (calls + 1, 1) uint32 rows init * mult**j mod 2**32: hash j xors with row j, then multiplies by row j + 1."""
+    return np.cumprod([[init]] + [[mult]] * calls, axis=0, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, hashes: np.ndarray, j: int, n: int) -> np.ndarray:  # hashes j, ..., j + n - 1
+    value = (value ^ hashes[j:j + n]) * hashes[j + 1:j + n + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * MIX_MULT_L - y * MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+def stream_words(seeds: list[int], first_round: int, rounds: int) -> np.ndarray:
+    """The (rounds, len(seeds), 4, 4) uint64 PCG64 seed words [r, i, p] of numpy's `SeedSequence([seeds[i],
+    first_round + r, 0, p]).generate_state(4, np.uint64)`, the digests pinning the 0. One pass per (seed, round) word
+    count hashes its keys; pool word d takes in key word s by hash 4 + 3 s + d - (d > s) if s < 4, else 4 s + d."""
+    seed_words = [_key_words(s) for s in seeds]
+    round_words = [_key_words(first_round + r) for r in range(rounds)]
+    hashes = _hashes(INIT_A, MULT_A, 4 * (max(map(len, seed_words)) + len(round_words[-1]) + 2))
+    out = np.empty((rounds, len(seeds), 4, 4), dtype=np.uint64)
+    for ns, nr in product(set(map(len, seed_words)), set(map(len, round_words))):
+        at = [i for i, w in enumerate(seed_words) if len(w) == ns]
+        rs = [r for r, w in enumerate(round_words) if len(w) == nr]
+        key = np.zeros((ns + nr + 2, len(rs), len(at), 4), dtype=np.uint32)  # word, round, seed, purpose
+        key[:ns] = np.array([seed_words[i] for i in at], dtype=np.uint32).T[:, None, :, None]
+        key[ns:-2] = np.array([round_words[r] for r in rs], dtype=np.uint32).T[:, :, None, None]
+        key[-1] = np.arange(4, dtype=np.uint32)
+        key = key.reshape(len(key), -1)
+        pool = _hashmix(key[:4], hashes, 0, 4)
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], hashes, 4 + 3 * src, 3))
+        for src in range(4, len(key)):
+            pool = _mix(pool, _hashmix(key[src], hashes, 4 * src, 4))
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hashes(INIT_B, MULT_B, 8), 0, 8)  # generate_state
+        out[np.ix_(rs, at)] = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").reshape(len(rs), len(at), 4, 4)
+    return out
+
+
+@dataclass
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is the words it was given: a (4,) uint64 `stream_words` entry."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def derive_stream(words: np.ndarray) -> np.random.Generator:
+    """The stream of a `stream_words` entry: numpy's PCG64 stream of its key's `SeedSequence`, seeded by its words."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 @dataclass
@@ -85,7 +138,8 @@ class SimState:
     read-only and shared by the seeds. `occupancy`, `counts` (crowd counts) and the components of `dyn_field`,
     the trace field, are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds' grids: seed i's grid is the
     first H rows of block i, at flat offset i (H + 1) W; the last row is spare, and the trace update sinks lost
-    quanta there. `alive_counts[r]` counts the rows after round r; `t` is the last round.
+    quanta there. `alive_counts[r]` counts the rows after round r; `t` is the last round. `words` holds the
+    `stream_words` of the block of B = ceil(64 / L) rounds from t - t % B on, which `run_round` hashes at its start.
     """
 
     grid: Grid
@@ -99,6 +153,7 @@ class SimState:
     runs: list[SeedRun]
     t: int = 0
     alive_counts: list[int] = field(default_factory=list)
+    words: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 4, 4), dtype=np.uint64))
 
 
 @dataclass
@@ -209,26 +264,30 @@ def run_round(state: SimState) -> None:
     ids = rows["id"]
     cuts = np.searchsorted(rows["offset"], np.arange(len(runs) + 1) * state.occupancy[0].size)
     bounds = cuts.tolist()
-    spans = [(run, lo, hi) for run, lo, hi in zip(runs, bounds, bounds[1:]) if lo < hi]
+    block = -(-64 // len(runs))  # rounds whose stream keys, about 256, are hashed at once
+    if t % block == 0:
+        state.words = stream_words([run.seed for run in runs], t, block)
+    words = state.words[t % block]
+    spans = [(run, key, lo, hi) for run, key, lo, hi in zip(runs, words, bounds, bounds[1:]) if lo < hi]
 
     u = {purpose: np.empty(len(rows)) for purpose in (PURPOSE_EXIT, PURPOSE_DESTINATION)}
-    for run, lo, hi in spans:  # a seed's spawns get one draw per agent id, whoever has left
+    for run, key, lo, hi in spans:  # a seed's spawns get one draw per agent id, whoever has left
         for purpose, draws in u.items():
-            draws[lo:hi] = derive_stream(run.seed, t, purpose).random(run.alive_counts[0])[ids[lo:hi]]
+            draws[lo:hi] = derive_stream(key[purpose]).random(run.alive_counts[0])[ids[lo:hi]]
     rows["chosen_exit"] = choose_exit(rows, state.exit_dist, u[PURPOSE_EXIT])
     picked = choose_destination(rows, state, u[PURPOSE_DESTINATION])
 
     end = np.empty_like(picked)
-    for run, lo, hi in spans:
+    for run, key, lo, hi in spans:
         seed_rows = rows[lo:hi]
         destinations = np.zeros((run.alive_counts[0], 2), dtype=np.int64)
         destinations[ids[lo:hi]] = picked[lo:hi]
-        moved = execute_round(seed_rows, destinations, state.grid, derive_stream(run.seed, t, PURPOSE_MOVEMENT))
+        moved = execute_round(seed_rows, destinations, state.grid, derive_stream(key[PURPOSE_MOVEMENT]))
         end[lo:hi] = moved.end
         run.positions.append(np.column_stack((ids[lo:hi], moved.end)))
         run.steps.append(moved.steps)
     state.dyn_field.record_moves(np.concatenate((rows["pos"], end), axis=1), rows["offset"])
-    rngs = (derive_stream(run.seed, t, PURPOSE_FIELD) if run.alive_counts[-1] else None for run in runs)
+    rngs = (derive_stream(key[PURPOSE_FIELD]) if run.alive_counts[-1] else None for run, key in zip(runs, words))
     state.dyn_field.decay_and_diffuse(state.config.delta, state.config.alpha, *rngs)
 
     round_no = t + 1
@@ -249,7 +308,7 @@ def run_round(state: SimState) -> None:
         raise SimulationError(f"two agents on cell {cell} at the end of round {round_no}")
     state.counts = crowd_counts(state.occupancy)
     kept = np.concatenate(([0], np.cumsum(stay))).tolist()  # kept[i]: rows before row i that stay
-    for run, lo, hi in spans:
+    for run, _, lo, hi in spans:
         run.alive_counts.append(kept[hi] - kept[lo])
     state.agents = rows[stay]
     state.alive_counts.append(len(state.agents))

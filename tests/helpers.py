@@ -37,6 +37,8 @@ eight shifted slices of one padded `int32` array.
 `reference_relax` is the field relaxation as it stood before a pass relaxed its
 eight moves in one block, and `reference_grid_kind` the parser's per-character
 walk over the grid rows; the package must equal both byte for byte.
+`numpy_stream` is the random stream of one (seed, round, purpose) as numpy
+builds it from the key's `SeedSequence`, which the package's streams equal.
 `render_scenario` writes a spec back as scenario text, so the parser's
 round-trip tests can compare `parse_scenario(render_scenario(spec))` to it
 with `same_spec`.
@@ -383,6 +385,12 @@ def agent_distribution(agent, state) -> SimpleNamespace:
     (block,) = destination_distribution(agent, state)
     keep = block.candidate[0]
     return SimpleNamespace(cells=(block.origin[0] + block.offsets)[keep], probs=block.probs[0][keep])
+
+
+def numpy_stream(seed: int, t: int, purpose: int) -> np.random.Generator:
+    """numpy's stream of the key [seed, t, 0, purpose]: the one a run of master seed `seed` draws from in round t
+    for `purpose` (`engine.PURPOSE_*`)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, t, 0, purpose]))
 
 
 def make_state(rows: list[str], *, w_max: float = 3.0, others=()):

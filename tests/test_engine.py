@@ -24,13 +24,15 @@ from evacsim.engine import (
     init_state,
     run_round,
     run_simulation,
+    stream_words,
 )
 from evacsim.movement import RoundExecution, execute_round
 from evacsim.scenario import DEFAULT_PROFILE, FLOOR, AgentProfile, Grid, ScenarioSpec, SimConfig, Spawn, parse_scenario
 from evacsim.static_field import compute_static_field
 
 from helpers import (
-    chebyshev, dest_table, open_room_rows, random_kind, reference_execute_round, rows_to_text, step_coords,
+    chebyshev, dest_table, numpy_stream, open_room_rows, random_kind, reference_execute_round, rows_to_text,
+    step_coords,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -44,8 +46,9 @@ def load(name: str):
 # ---------------------------------------------------------------- streams
 
 def test_derive_stream_is_deterministic():
-    a = derive_stream(42, 3, PURPOSE_EXIT).random(8)
-    b = derive_stream(42, 3, PURPOSE_EXIT).random(8)
+    words = stream_words([42], 3, 1)[0, 0, PURPOSE_EXIT]
+    a = derive_stream(words).random(8)
+    b = derive_stream(words).random(8)
     assert np.array_equal(a, b)
     # the key's fixed 0 slot keeps the streams that the pinned digests rest on
     key = np.random.default_rng(np.random.SeedSequence([42, 3, 0, PURPOSE_EXIT])).random(8)
@@ -58,20 +61,41 @@ def test_derive_stream_equals_numpy_stream_of_the_int_key(seed, round_idx):
     # the key is handed to numpy as 32-bit words; a value of 2**32 or more takes two or more of them
     for purpose in (PURPOSE_EXIT, PURPOSE_MOVEMENT):
         expected = np.random.default_rng(np.random.SeedSequence([seed, round_idx, 0, purpose]))
-        drawn = derive_stream(seed, round_idx, purpose)
+        drawn = derive_stream(stream_words([seed], round_idx, 1)[0, 0, purpose])
         assert np.array_equal(drawn.random(6), expected.random(6))
         assert drawn.bit_generator.state == expected.bit_generator.state
 
 
+def assert_numpy_words(words, seeds, first_round, rounds):
+    assert words.shape == (rounds, len(seeds), 4, 4) and words.dtype == np.uint64
+    for r, by_seed in enumerate(words):
+        for seed, by_purpose in zip(seeds, by_seed):
+            for purpose, got in enumerate(by_purpose):
+                expected = np.random.SeedSequence([seed, first_round + r, 0, purpose]).generate_state(4, np.uint64)
+                assert np.array_equal(got, expected), (seed, first_round + r, purpose)
+
+
+def test_stream_words_equal_numpy_seed_sequence_words():
+    # one call whose seed keys take 1, 2 and 3 words, over a block whose round crosses from 1 to 2 words
+    seeds = [0, 2**32 - 1, 2**32, 2**64 + 5]
+    assert_numpy_words(stream_words(seeds, 2**32 - 2, 4), seeds, 2**32 - 2, 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=4), st.integers(0, 2**40 - 1), st.integers(1, 3))
+def test_stream_words_equal_numpy_words_of_any_key(seeds, first_round, rounds):
+    assert_numpy_words(stream_words(seeds, first_round, rounds), seeds, first_round, rounds)
+
+
 def test_derive_stream_separates_arguments():
-    base = derive_stream(42, 3, PURPOSE_EXIT).integers(0, 2**63, 4)
+    base = numpy_stream(42, 3, PURPOSE_EXIT).integers(0, 2**63, 4)
     for args in ((43, 3, PURPOSE_EXIT), (42, 4, PURPOSE_EXIT), (42, 3, PURPOSE_DESTINATION)):
-        other = derive_stream(*args).integers(0, 2**63, 4)
+        other = numpy_stream(*args).integers(0, 2**63, 4)
         assert not np.array_equal(base, other)
 
 
 def test_stream_equidistribution_smoke():
-    draws = derive_stream(12345, 0, 0).random(1_000_000)
+    draws = numpy_stream(12345, 0, 0).random(1_000_000)
     n = len(draws)
     mean_sigma = math.sqrt(1 / 12 / n)
     assert abs(draws.mean() - 0.5) <= 5 * mean_sigma
@@ -412,15 +436,15 @@ def test_movement_ignores_the_order_of_the_agent_list():
     alive = state.agents.copy()
     ids = alive["id"]
     n = state.alive_counts[0]
-    alive["chosen_exit"] = choose_exit(alive, state.exit_dist, derive_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
-    cells = choose_destination(alive, state, derive_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
+    alive["chosen_exit"] = choose_exit(alive, state.exit_dist, numpy_stream(3, 2, PURPOSE_EXIT).random(n)[ids])
+    cells = choose_destination(alive, state, numpy_stream(3, 2, PURPOSE_DESTINATION).random(n)[ids])
     destinations = dict(zip(ids.tolist(), map(tuple, cells.tolist())))
     starts = dict(zip(ids.tolist(), map(tuple, alive["pos"].tolist())))
     assert sum(chebyshev(starts[aid], cell) for aid, cell in destinations.items()) > len(alive)
 
     def move(agents, execute):
         twins = agents.copy()
-        steps = execute(twins, destinations, state.grid, derive_stream(3, 2, PURPOSE_MOVEMENT))
+        steps = execute(twins, destinations, state.grid, numpy_stream(3, 2, PURPOSE_MOVEMENT))
         return dict(zip(twins["id"].tolist(), map(tuple, twins["pos"].tolist()))), steps
 
     def flat(agents, destinations, grid, rng):
