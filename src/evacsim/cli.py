@@ -118,8 +118,7 @@ def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
     if "snapshots" in emit:
         snap_dir = os.path.join(out_dir, f"snapshots_{seed}")
         os.makedirs(snap_dir, exist_ok=True)
-        rounds, _, xs, ys = result.trajectory.T
-        last = int(rounds[-1]) if len(rounds) else 0
+        last = len(result.positions) - 1
         # a longer earlier run into the same directory left maps past this run's end
         for name in os.listdir(snap_dir):
             m = _SNAPSHOT_NAME.fullmatch(name)
@@ -128,10 +127,9 @@ def write_outputs(result: SimResult, out_dir: str, emit: set[str]) -> None:
         chars = np.frombuffer("".join(map(KIND_CHAR.get, range(len(KIND_CHAR)))).encode(), dtype=np.uint8)
         page = np.full((result.grid.height, result.grid.width + 1), ord("\n"), dtype=np.uint8)
         page[:, :-1] = chars[result.grid.kind]
-        bounds = np.searchsorted(rounds, np.arange(last + 2)).tolist()
-        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        for r, rows in enumerate(result.positions):
             snapshot = page.copy()
-            snapshot[ys[lo:hi], xs[lo:hi]] = ord("o")
+            snapshot[rows[:, 2], rows[:, 1]] = ord("o")
             _write_text(os.path.join(snap_dir, f"round_{r:04d}.txt"), snapshot.tobytes().decode())
     if "steplog" in emit:
         text = _table_text("round step agent from_x from_y to_x to_y", result.step_log, " ")

@@ -13,9 +13,12 @@ Seeds of one scenario run in lockstep, and a single run is a lockstep of one.
 A `SimState`'s agent table (`agent_table`) holds every seed's agents still in
 the room. A round makes one exit-choice, one destination-choice and one trace
 update call over all of them, and its end-of-round bookkeeping runs once; per
-seed are the streams, the movement phase, the records (`SeedRun`) and the
-trace update's draws, byte for byte those of its run alone. A seed leaves the
-lockstep when its last agent has.
+seed are the streams, the movement phase, the trace update's draws, byte for
+byte those of its run alone, and the record (`SimResult`) that `run_batch`
+yields. A seed leaves the lockstep when its last agent has. Its record keeps
+one array of positions and one of steps per round, and joins them into the
+trajectory and step-log tables only when they are read, so a summary-only run
+builds no tables.
 
 Budget: `run_batch` runs lockstep groups of L seeds, L the largest count with
 L x spawned agents <= LOCKSTEP_ROWS and L x H x W <= LOCKSTEP_CELLS, and at
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, product
 from typing import Iterator
 
@@ -113,19 +117,52 @@ def derive_stream(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
-@dataclass
-class SeedRun:
-    """One seed of a lockstep. Per seed are the streams, the movement and the records; the trace update runs once
-    per lockstep, drawing from each seed's stream. Holds its master seed, `alive_counts[r]`, its agents after round
-    r, `exit_rounds`, the round in which each agent that left stood on an exit, by id, and its records:
-    `positions[r]`, the (n, 3) int64 (id, x, y) of its rows at the end of round r (round 0: the spawns), and
-    `steps[r - 1]`, round r's step rows."""
+@dataclass(eq=False)
+class SimResult:
+    """The record of one seed, filled by `run_round` while its lockstep runs: its master seed, `alive_counts[r]`,
+    its agents after round r, `exit_rounds`, the round in which each agent that left stood on an exit, by id,
+    `positions[r]`, the (n, 3) int64 (id, x, y) of its rows at the end of round r (round 0: the spawns, exits
+    included), and `steps[r - 1]`, round r's step rows. The two tables are joined from these on first read, which
+    comes once the seed has left: `trajectory`, the (n, 4) int64 table of (round, agent, x, y), each round by
+    ascending id; `step_log`, the (n, 7) int64 table of (round, step, agent, from_x, from_y, to_x, to_y), `step`
+    counting each round's steps from 0. A run that reads neither builds neither."""
 
     seed: int
+    grid: Grid
     alive_counts: list[int]
-    positions: list[np.ndarray]
-    steps: list[np.ndarray] = field(default_factory=list)
+    positions: list[np.ndarray] = field(repr=False)
+    steps: list[np.ndarray] = field(default_factory=list, repr=False)
     exit_rounds: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def agents_total(self) -> int:
+        return self.alive_counts[0]
+
+    @property
+    def evacuation_rounds(self) -> int | None:
+        return None if self.alive_counts[-1] else len(self.alive_counts) - 1
+
+    @property
+    def evacuation_seconds(self) -> float | None:
+        return None if self.evacuation_rounds is None else self.evacuation_rounds * ROUND_SECONDS
+
+    @cached_property
+    def trajectory(self) -> np.ndarray:
+        sizes = [len(a) for a in self.positions]
+        trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
+        trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+        np.concatenate(self.positions, out=trajectory[:, 1:])
+        return trajectory
+
+    @cached_property
+    def step_log(self) -> np.ndarray:
+        counts = np.array([len(s) for s in self.steps], dtype=np.int64)
+        step_log = np.empty((counts.sum(), 7), dtype=np.int64)
+        step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
+        step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
+        np.concatenate([np.empty((0, 3), dtype=np.int64), *self.steps], out=step_log[:, 2:5])
+        step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], self.grid.width)[::-1]
+        return step_log
 
 
 @dataclass
@@ -133,13 +170,14 @@ class SimState:
     """A lockstep: everything its rounds read and mutate, for seeds config.seed, config.seed + 1, ...
 
     `agents` is the agent table (see `agent_table`) of the agents still in the room, by seed, then in ascending
-    id order; `runs` holds the seeds in order, and a seed without agents has left. `exit_dist` is the (E, H, W)
-    stack of per-exit distances and `wall_dist` the (H, W) wall distance clamped to `config.w_max`; both are
-    read-only and shared by the seeds. `occupancy`, `counts` (crowd counts) and the components of `dyn_field`,
-    the trace field, are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds' grids: seed i's grid is the
-    first H rows of block i, at flat offset i (H + 1) W; the last row is spare, and the trace update sinks lost
-    quanta there. `alive_counts[r]` counts the rows after round r; `t` is the last round. `words` holds the
-    `stream_words` of the block of B = ceil(64 / L) rounds from t - t % B on, which `run_round` hashes at its start.
+    id order; `runs` holds each seed's record (`SimResult`), in seed order, and a seed without agents has left.
+    `exit_dist` is the (E, H, W) stack of per-exit distances and `wall_dist` the (H, W) wall distance clamped to
+    `config.w_max`; both are read-only and shared by the seeds. `occupancy`, `counts` (crowd counts) and the
+    components of `dyn_field`, the trace field, are (L, H + 1, W) and (2, L, H + 1, W) stacks of the seeds'
+    grids: seed i's grid is the first H rows of block i, at flat offset i (H + 1) W; the last row is spare, and
+    the trace update sinks lost quanta there. `alive_counts[r]` counts the rows after round r; `t` is the last
+    round. `words` holds the `stream_words` of the block of B = ceil(64 / L) rounds from t - t % B on, which
+    `run_round` hashes at its start.
     """
 
     grid: Grid
@@ -150,30 +188,10 @@ class SimState:
     occupancy: np.ndarray
     counts: np.ndarray
     dyn_field: DynamicField
-    runs: list[SeedRun]
+    runs: list[SimResult]
     t: int = 0
     alive_counts: list[int] = field(default_factory=list)
     words: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 4, 4), dtype=np.uint64))
-
-
-@dataclass
-class SimResult:
-    """Observables of one finished run. `trajectory` is the (n, 4) int64 table of (round, agent, x, y),
-    round 0 the spawn, each round by ascending id, exits included; `step_log` the (n, 7) int64 table of
-    (round, step, agent, from_x, from_y, to_x, to_y), `step` counting each round's steps from 0."""
-
-    evacuation_rounds: int | None
-    agents_total: int
-    seed: int
-    alive_counts: list[int]
-    exit_rounds: dict[int, int]
-    trajectory: np.ndarray
-    step_log: np.ndarray
-    grid: Grid
-
-    @property
-    def evacuation_seconds(self) -> float | None:
-        return None if self.evacuation_rounds is None else self.evacuation_rounds * ROUND_SECONDS
 
 
 def agent_table(spec: ScenarioSpec) -> np.ndarray:
@@ -235,7 +253,7 @@ def spawn(spec: ScenarioSpec, config: SimConfig, seeds: int, exit_dist: np.ndarr
     occupancy = np.zeros((seeds, grid.height + 1, grid.width), dtype=bool)
     occupancy.reshape(-1)[cells_of(agents, grid.width)] = True
     spawned = np.column_stack((table["id"], table["pos"]))  # round 0's record, shared by the seeds
-    runs = [SeedRun(config.seed + i, [len(table)], [spawned]) for i in range(seeds)]
+    runs = [SimResult(config.seed + i, grid, [len(table)], [spawned]) for i in range(seeds)]
     return SimState(
         grid=grid,
         config=config,
@@ -334,7 +352,7 @@ def _results(spec: ScenarioSpec, state: SimState, stop: int) -> Iterator[SimResu
         while pending:
             over = not state.alive_counts[-1] or state.t >= state.config.max_rounds
             while pending and (over or not pending[0].alive_counts[-1]):
-                yield seed_result(state, pending.popleft())
+                yield pending.popleft()
             if pending:
                 run_round(state)
         first, size = state.runs[-1].seed + 1, len(state.runs)
@@ -346,29 +364,3 @@ def _results(spec: ScenarioSpec, state: SimState, stop: int) -> Iterator[SimResu
 def run_simulation(spec: ScenarioSpec, config: SimConfig) -> SimResult:
     """Run rounds until everyone evacuated or max_rounds is hit: a lockstep of one seed."""
     return next(run_batch(spec, config, 1))
-
-
-def seed_result(state: SimState, run: SeedRun) -> SimResult:
-    """The result of a seed of `state` that has finished, its records joined into the tables of
-    `SimResult`; `state.t` is its last round unless it evacuated."""
-    evacuated = not run.alive_counts[-1]
-    sizes = [len(a) for a in run.positions]
-    trajectory = np.empty((sum(sizes), 4), dtype=np.int64)
-    trajectory[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-    np.concatenate(run.positions, out=trajectory[:, 1:])
-    counts = np.array([len(s) for s in run.steps], dtype=np.int64)
-    step_log = np.empty((counts.sum(), 7), dtype=np.int64)
-    step_log[:, 0] = np.repeat(np.arange(1, len(counts) + 1), counts)
-    step_log[:, 1] = np.arange(len(step_log)) - np.repeat(np.cumsum(counts) - counts, counts)
-    np.concatenate([np.empty((0, 3), dtype=np.int64), *run.steps], out=step_log[:, 2:5])
-    step_log[:, 3::2], step_log[:, 4::2] = np.divmod(step_log[:, 3:5], state.grid.width)[::-1]
-    return SimResult(
-        evacuation_rounds=len(run.alive_counts) - 1 if evacuated else None,
-        agents_total=run.alive_counts[0],
-        seed=run.seed,
-        alive_counts=run.alive_counts,
-        exit_rounds=run.exit_rounds,
-        trajectory=trajectory,
-        step_log=step_log,
-        grid=state.grid,
-    )

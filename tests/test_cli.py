@@ -121,6 +121,16 @@ def test_shorter_rerun_removes_stale_snapshots(tmp_path):
     assert all((snap_dir / name).read_text() == "kept\n" for name in ("notes.txt", "round_00099.txt", "round_9999.csv"))
 
 
+def test_tables_are_joined_only_when_an_artifact_reads_them(tmp_path):
+    (result,) = engine.run_batch(parse_scenario(pathlib.Path(ROOM).read_text()), SimConfig(seed=0), 1)
+    write_outputs(result, str(tmp_path), {"summary", "snapshots"})
+    assert len(list((tmp_path / "snapshots_0").glob("round_*.txt"))) == len(result.alive_counts)
+    assert "trajectory" not in vars(result) and "step_log" not in vars(result)
+    write_outputs(result, str(tmp_path), {"trajectories"})
+    assert "trajectory" in vars(result) and "step_log" not in vars(result)
+    assert result.trajectory is result.trajectory and result.step_log is result.step_log
+
+
 def test_heatmap_is_pgm_with_byte_range(tmp_path):
     run_cli("--scenario", ROOM, "--seed", "2", "--out", str(tmp_path), "--emit", "heatmap")
     lines = (tmp_path / "heatmap_2.pgm").read_text().split()

@@ -500,6 +500,15 @@ def test_lockstep_seeds_keep_records_of_their_own_rounds():
         assert len(run.steps) == len(rows) - 1
 
 
+def test_results_compare_by_identity_and_print_without_their_records():
+    # the records are lists of arrays, which a generated __eq__ would compare element-wise and fail on
+    first, second = (run_simulation(load("room"), SimConfig(seed=1)) for _ in range(2))
+    assert (first == second) is False and first == first
+    assert first.trajectory.tobytes() == second.trajectory.tobytes()
+    text = repr(first)
+    assert "positions=" not in text and "steps=[" not in text and text.startswith("SimResult(seed=1, ")
+
+
 def test_two_agents_on_one_cell_raise_simulation_error(monkeypatch):
     spec = load("room")
     state = init_state(spec, SimConfig(seed=0))
